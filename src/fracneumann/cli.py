@@ -95,9 +95,13 @@ def main(argv=None) -> int:
             for q in qs:
                 print(f"K_q(N={dim}, q={q:g}) = {K_q(dim, q):.12f}")
             return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as err:
+    except (ConfigError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        # a numerical certificate failed: same exit code as a FAIL verdict
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     return 2
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ProblemSpec, f_eval, _check_size
-from .operators import seminorm_form
+from .operators import seminorm_form, _lq_norm
 
 __all__ = [
     "g_trunc",
@@ -102,13 +102,6 @@ class MoserLadder:
     n_used: int
 
 
-def _lq(values: np.ndarray, vol: float, q: float) -> float:
-    m = float(np.max(np.abs(values)))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.sum(vol * (np.abs(values) / m) ** q)) ** (1.0 / q)
-
-
 def norm_ladder(spec: ProblemSpec, u: np.ndarray, n_max: int = 12) -> MoserLadder:
     """Climb the exponent ladder and fit the smallest valid chaining constant.
 
@@ -145,8 +138,8 @@ def norm_ladder(spec: ProblemSpec, u: np.ndarray, n_max: int = 12) -> MoserLadde
     n_used = beta.size
     q_lo = 2.0 * beta
 
-    norms_lo = np.array([_lq(ui, vol, q) for q in q_lo])
-    norms_up = np.array([_lq(ui, vol, q) for q in q_up])
+    norms_lo = np.array([_lq_norm(ui, vol, q) for q in q_lo])
+    norms_up = np.array([_lq_norm(ui, vol, q) for q in q_up])
 
     k_fit = 1.0
     if actual_max > 0.0:
@@ -214,7 +207,7 @@ def verify_caccioppoli_step(spec: ProblemSpec, u: np.ndarray, alpha: float,
     w = ui * um ** ((alpha - 1.0) / 2.0)
     lhs_chain = (sobolev_constant ** (-2.0) * spec.eps ** (2.0 * spec.s)
                  * (2.0 / (alpha + 1.0)) ** 2
-                 * _lq(w, vol, spec.two_star) ** 2)
+                 * _lq_norm(w, vol, spec.two_star) ** 2)
     rhs_chain = vol * float(fu @ (ui * um ** (alpha - 1.0)))
     slack = 10.0 * grad_tol * max(abs(rhs_chain), 1.0)
     if lhs_chain > rhs_chain + slack:

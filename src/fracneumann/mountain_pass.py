@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import bilinear_form, estimate_sobolev_constant
+from .operators import (bilinear_form, estimate_sobolev_constant,
+                        _graph_laplacian_apply)
 from .problem import (
     ProblemSpec,
     F_eval,
@@ -143,13 +144,8 @@ class _PathState:
         self.vol = spec.mesh.cell_volume
         self.ni = spec.mesh.n_interior
         self.path = path
-        self.lrows = self.apply_batch(path)
+        self.lrows = _graph_laplacian_apply(op, path)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
-
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        op = self.spec.op
-        rc = rows - rows.mean(axis=1, keepdims=True)
-        return rc * op.row_sums[None, :] - rc @ op.weights
 
     def reaction(self, rows: np.ndarray) -> np.ndarray:
         ui = rows[..., :self.ni]
@@ -210,7 +206,7 @@ class _PathState:
         p = self.path[mov]
         lp = self.lrows[mov]
         g = self.gradients()[mov]
-        lg = self.apply_batch(g)
+        lg = _graph_laplacian_apply(self.spec.op, g)
 
         s_pp = np.einsum("ij,ij->i", p, lp)
         s_pg = np.einsum("ij,ij->i", p, lg)

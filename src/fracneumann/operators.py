@@ -148,14 +148,26 @@ def _check_size(op: FormOperator, u: np.ndarray, name: str = "u") -> np.ndarray:
 
 def _centered(u: np.ndarray) -> np.ndarray:
     # Subtracting the mean leaves the pair differences unchanged but makes
-    # every weighted application of a constant function an exact zero.
-    return u - u.mean()
+    # every weighted application of a constant function an exact zero.  The
+    # mean of a constant row can miss its value by an ulp, so constant rows
+    # are zeroed outright.
+    uc = u - u.mean(axis=-1, keepdims=True)
+    uc[np.all(u == u[..., :1], axis=-1)] = 0.0
+    return uc
+
+
+def _laplacian(weights: np.ndarray, row_sums: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """(L u)_i = sum_j w_ij (u_i - u_j) for one grid function or each row of
+    a stack, on centered values.  ``weights`` is symmetric; a stack takes
+    ``uc @ weights``, a much faster BLAS call than ``(weights @ uc.T).T``."""
+    uc = _centered(u)
+    return row_sums * uc - (weights @ uc if uc.ndim == 1 else uc @ weights)
 
 
 def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
-    """(L u)_i = sum_j w_ij (u_i - u_j), computed on the centered values."""
-    uc = _centered(u)
-    return op.row_sums * uc - op.weights @ uc
+    """Full-mesh kernel application, the one shared by every operator."""
+    return _laplacian(op.weights, op.row_sums, u)
 
 
 def frac_laplacian(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -284,12 +296,49 @@ def _regional_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     return w, w @ np.ones(ni)
 
 
+def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
+    """``(1/2) sum_ij w_ij (u_i - u_j)^2`` over a :func:`_regional_matrix`."""
+    return float(_centered(u) @ _laplacian(w, d, u))
+
+
 def _lq_norm(values: np.ndarray, vol: float, q: float) -> float:
     """Robust (sum vol |u|**q)**(1/q); rescaled to avoid overflow."""
     m = float(np.max(np.abs(values)))
     if m == 0.0:
         return 0.0
     return m * float(np.sum(vol * (np.abs(values) / m) ** q)) ** (1.0 / q)
+
+
+def _ascend(objective, gradient, norm, u: np.ndarray, max_iter: int,
+            rtol: float, what: str) -> float:
+    """Maximize ``objective(u) -> (value, aux)`` along ``gradient(u, aux)``
+    from the normalized ``u``; ``norm(v)`` projects v in place and returns
+    the norm it is divided by.  Steps double (capped at 1e6) and are halved
+    up to 60 times until the value strictly improves.  Stops at a gradient
+    norm below ``rtol * |value|`` or when no step improves; warns at
+    ``max_iter``."""
+    val, aux = objective(u)
+    step = 1.0
+    for _ in range(max_iter):
+        grad = gradient(u, aux)
+        if float(np.linalg.norm(grad)) <= rtol * max(abs(val), 1e-300):
+            return val
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            cand = u + step * grad
+            nrm = norm(cand)
+            if nrm > 0.0:
+                cand /= nrm
+                cval, caux = objective(cand)
+                if cval > val + 1e-16 * abs(val):
+                    u, val, aux = cand, cval, caux
+                    break
+            step *= 0.5
+        else:
+            return val  # no ascent left at float resolution
+    warnings.warn(f"{what} hit the iteration cap of {max_iter}; returning "
+                  "the last iterate's estimate", RuntimeWarning, stacklevel=3)
+    return val
 
 
 def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
@@ -309,55 +358,29 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     q = 2.0 * dim / (dim - 2.0 * s)
     w, d = _regional_matrix(op)
     vol = op.mesh.cell_volume
-    x = op.mesh.interior_nodes
 
-    def project(u: np.ndarray) -> np.ndarray:
-        return u - u.mean()
+    def norm(v: np.ndarray) -> float:
+        v -= v.mean()
+        return _lq_norm(v, vol, q)
 
-    def rayleigh(u: np.ndarray) -> tuple[float, float, float]:
-        num = float(u @ (d * u - w @ u))
-        den = _lq_norm(u, vol, q) ** 2
-        return num / den, num, den
+    def neg_rayleigh(v: np.ndarray):
+        num = _regional_seminorm(w, d, v)
+        den = _lq_norm(v, vol, q) ** 2
+        return -num / den, (num, den)
+
+    def ascent(v: np.ndarray, aux) -> np.ndarray:
+        num, den = aux
+        grad_num = 2.0 * _laplacian(w, d, v)
+        grad_den = 2.0 * (den**0.5) ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
+        grad = (grad_num * den - num * grad_den) / den**2
+        return -(grad - grad.mean())  # projected descent direction
 
     # Deterministic low-frequency start: first coordinate, centered.
-    u = project(x[:, 0].copy())
-    u /= _lq_norm(u, vol, q)
-    val, num, den = rayleigh(u)
-    step = 1.0
-    converged = False
-    for _ in range(max_iter):
-        grad_num = 2.0 * (d * u - w @ u)
-        lq = den ** 0.5
-        grad_den = 2.0 * lq ** (2.0 - q) * vol * np.abs(u) ** (q - 2.0) * u
-        grad = project((grad_num * den - num * grad_den) / den**2)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= rtol * max(val, 1e-300):
-            converged = True
-            break
-        step = min(step * 2.0, 1e6)
-        improved = False
-        for _ in range(60):
-            cand = project(u - step * grad)
-            nrm = _lq_norm(cand, vol, q)
-            if nrm > 0.0:
-                cand /= nrm
-                cval, cnum, cden = rayleigh(cand)
-                if cval < val - 1e-16 * abs(val):
-                    u, val, num, den = cand, cval, cnum, cden
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            converged = True  # no descent direction left at float resolution
-            break
-    if not converged:
-        warnings.warn(
-            "Sobolev quotient minimization hit the iteration cap; "
-            f"returning the current estimate {val**0.5:.6g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(val**0.5)
+    u = op.mesh.interior_nodes[:, 0].copy()
+    u /= norm(u)
+    val = _ascend(neg_rayleigh, ascent, norm, u, max_iter, rtol,
+                  "Sobolev quotient minimization")
+    return float((-val) ** 0.5)
 
 
 def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
@@ -370,8 +393,8 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     form ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2`` actually requires for all u;
     the zero-mean regional quotient of :func:`estimate_sobolev_constant`
     underestimates it on smooth bumps, whose full-form energy is not
-    seminorm-dominated.  Maximized by projected gradient ascent from a
-    deterministic bump profile with zero-flux collar values.
+    seminorm-dominated.  Maximized by gradient ascent from a deterministic
+    bump profile with zero-flux collar values; reaching ``max_iter`` warns.
     """
     dim, s, eps = op.mesh.dim, op.s, op.eps
     q = 2.0 * dim / (dim - 2.0 * s)
@@ -379,44 +402,30 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     vol = op.mesh.cell_volume
     e2s = eps ** (2.0 * s)
 
-    r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
-    bump = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
-    u = exterior_extension(op, bump)
-    u /= _lq_norm(u[:ni], vol, q)
+    def norm(v: np.ndarray) -> float:
+        return _lq_norm(v[:ni], vol, q)
 
-    def quotient(v: np.ndarray) -> tuple[float, float, float]:
-        num = e2s * _lq_norm(v[:ni], vol, q) ** 2
+    def quotient(v: np.ndarray):
+        num = e2s * norm(v) ** 2
         den = bilinear_form(op, v, v)
-        return num / den, num, den
+        return num / den, (num, den)
 
-    val, num, den = quotient(u)
-    step = 1.0
-    for _ in range(max_iter):
+    def ascent(v: np.ndarray, aux) -> np.ndarray:
+        num, den = aux
         lq = (num / e2s) ** 0.5
         grad_num = np.zeros(op.n_total)
         grad_num[:ni] = (2.0 * e2s * lq ** (2.0 - q) * vol
-                         * np.abs(u[:ni]) ** (q - 2.0) * u[:ni])
-        grad_den = 2.0 * _graph_laplacian_apply(op, u) * e2s
-        grad_den[:ni] += 2.0 * vol * u[:ni]
-        grad = (grad_num * den - num * grad_den) / den**2
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= rtol * max(val, 1e-300):
-            break
-        step = min(step * 2.0, 1e6)
-        improved = False
-        for _ in range(60):
-            cand = u + step * grad
-            nrm = _lq_norm(cand[:ni], vol, q)
-            if nrm > 0.0:
-                cand /= nrm
-                cval, cnum, cden = quotient(cand)
-                if cval > val * (1.0 + 1e-16):
-                    u, val, num, den = cand, cval, cnum, cden
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
+                         * np.abs(v[:ni]) ** (q - 2.0) * v[:ni])
+        grad_den = 2.0 * _graph_laplacian_apply(op, v) * e2s
+        grad_den[:ni] += 2.0 * vol * v[:ni]
+        return (grad_num * den - num * grad_den) / den**2
+
+    r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
+    bump = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
+    u = exterior_extension(op, bump)
+    u /= norm(u)
+    val = _ascend(quotient, ascent, norm, u, max_iter, rtol,
+                  "embedding quotient maximization")
     return float(val**0.5)
 
 
@@ -439,10 +448,8 @@ def verify_scaling_identity(mesh: DomainMesh, mesh_scaled: DomainMesh,
     u1 = np.asarray(u(x1), dtype=float)
     v2 = np.asarray(u(eps * x2), dtype=float)
 
-    w1, d1 = _regional_matrix(op1)
-    w2, d2 = _regional_matrix(op2)
-    semi1 = float((u1 - u1.mean()) @ (d1 * (u1 - u1.mean()) - w1 @ (u1 - u1.mean())))
-    semi2 = float((v2 - v2.mean()) @ (d2 * (v2 - v2.mean()) - w2 @ (v2 - v2.mean())))
+    semi1 = _regional_seminorm(*_regional_matrix(op1), u1)
+    semi2 = _regional_seminorm(*_regional_matrix(op2), v2)
     lhs = eps ** (2.0 * s) * semi1 + mesh.cell_volume * float(u1 @ u1)
     rhs = eps**mesh.dim * (semi2 + mesh_scaled.cell_volume * float(v2 @ v2))
     scale = max(abs(lhs), abs(rhs), 1e-300)

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .mesh import DomainMesh
-from .operators import FormOperator, seminorm_form, _check_size, _centered
+from .operators import (FormOperator, seminorm_form, _check_size,
+                        _graph_laplacian_apply)
 
 __all__ = [
     "NonlinearitySpec",
@@ -285,8 +286,7 @@ def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     op = spec.op
     ni = spec.mesh.n_interior
     vol = spec.mesh.cell_volume
-    uc = _centered(u)
-    grad = (spec.eps ** (2.0 * op.s) / vol) * (op.row_sums * uc - op.weights @ uc)
+    grad = (spec.eps ** (2.0 * op.s) / vol) * _graph_laplacian_apply(op, u)
     ui = u[:ni]
     grad[:ni] += ui - f_eval(spec.nonlinearity, ui)
     return grad

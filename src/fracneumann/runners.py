@@ -165,15 +165,14 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     mesh = cfg.build_mesh()
     nl = cfg.nonlinearity()
     mpa = cfg.mpa_config()
-    sobolev = None
+    # The weights do not depend on eps: assemble once, rescale per eps.
+    base = assemble(mesh, cfg.s, cfg.eps_list[0])
+    sobolev = estimate_sobolev_constant(base)
     rows, tent_rows = [], []
     specs, reports, tents = [], [], []
 
     for eps in cfg.eps_list:
-        op = assemble(mesh, cfg.s, eps)
-        spec = ProblemSpec(mesh, op, nl)
-        if sobolev is None:
-            sobolev = estimate_sobolev_constant(op)
+        spec = ProblemSpec(mesh, base.with_eps(eps), nl)
         phi = phi_eps(mesh, eps)
         tent = thresholds(spec, phi)
         e = endpoint(spec, phi, tent)

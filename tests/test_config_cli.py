@@ -140,6 +140,13 @@ class TestSweepRunner:
             other = tmp_path / "b" / f.name
             assert f.read_bytes() == other.read_bytes(), f.name
 
+    def test_weights_assembled_once(self, tmp_path):
+        cfg = parse_config(QUICK_SWEEP)
+        result = run_scaling_sweep(cfg, tmp_path)
+        assert [sp.eps for sp in result.specs] == cfg.eps_list
+        assert all(sp.op.weights is result.specs[0].op.weights
+                   for sp in result.specs)
+
     def test_missing_eps_list(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP.replace("eps_list = 0.3, 0.15\n", ""))
         with pytest.raises(ConfigError, match="eps_list"):
@@ -238,6 +245,17 @@ class TestCli:
         rc = main(["identities", "--config", str(bad), "--out", str(tmp_path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_numerical_failure_exit_one(self, quick_cfg_file, tmp_path,
+                                        monkeypatch, capsys):
+        def unreliable(*args, **kwargs):
+            raise RuntimeError("threshold certificates are unreliable")
+
+        monkeypatch.setattr("fracneumann.runners.endpoint", unreliable)
+        rc = main(["sweep", "--config", str(quick_cfg_file),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: threshold certificates" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         rc = main(["sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import fracneumann as fn
-from fracneumann.operators import divergence_scale, ibp_scale
+from fracneumann.operators import (_graph_laplacian_apply, divergence_scale,
+                                   ibp_scale)
 
 from conftest import random_grid_function
 
@@ -57,6 +59,53 @@ class TestAssembly:
         assert other.eps == 0.05
         with pytest.raises(ValueError, match="positive"):
             op_1d.with_eps(-1.0)
+
+
+@st.composite
+def small_operators(draw):
+    """Dense operators on small random 1D and 2D meshes, random order s."""
+    h = draw(st.floats(0.1, 0.5))
+    if draw(st.booleans()):
+        a = draw(st.floats(-2.0, 0.0))
+        length = draw(st.integers(2, 12)) * h
+        mesh = fn.build_interval_mesh(a, a + length, h,
+                                      draw(st.floats(1.05, 2.0)) * length)
+        s = draw(st.floats(0.05, 0.45))
+    else:
+        bx, by = draw(st.integers(1, 4)) * h, draw(st.integers(1, 4)) * h
+        mesh = fn.build_box_mesh(((0.0, bx), (0.0, by)), h,
+                                 draw(st.floats(1.05, 1.5)) * np.hypot(bx, by))
+        s = draw(st.floats(0.05, 0.95))
+    return fn.assemble(mesh, s, 1.0)
+
+
+class TestSharedApply:
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(1, 4), amplitude=st.floats(1e-3, 1e3),
+           offset=st.floats(-5.0, 5.0))
+    def test_batched_rowwise_and_pairwise_agree(self, op, seed, n_rows,
+                                                amplitude, offset):
+        rng = np.random.default_rng(seed)
+        rows = amplitude * (offset + rng.standard_normal((n_rows, op.n_total)))
+        batched = _graph_laplacian_apply(op, rows)
+        rowwise = np.array([_graph_laplacian_apply(op, u) for u in rows])
+        diff = rows[:, :, None] - rows[:, None, :]
+        pairwise = np.einsum("ij,kij->ki", op.weights, diff)
+        scale = np.einsum("ij,kij->ki", op.weights, np.abs(diff))
+        tol = 1e-12 * scale.max(axis=1, keepdims=True)
+        assert batched.shape == rows.shape
+        assert np.all(np.abs(batched - rowwise) <= tol)
+        assert np.all(np.abs(batched - pairwise) <= tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(),
+           values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
+    def test_constant_rows_give_exact_zero(self, op, values):
+        rows = np.repeat(np.array(values)[:, None], op.n_total, axis=1)
+        assert np.all(_graph_laplacian_apply(op, rows) == 0.0)
+        for u in rows:
+            assert np.all(_graph_laplacian_apply(op, u) == 0.0)
 
 
 class TestFracLaplacian:
@@ -218,6 +267,14 @@ class TestSobolevConstant:
             lhs = float(np.sum(vol * np.abs(u[:ni]) ** qstar)) ** (2.0 / qstar)
             rhs = s_h**2 * op_1d.eps ** (-2.0 * op_1d.s) * fn.bilinear_form(op_1d, u, u)
             assert lhs <= rhs
+
+
+@pytest.mark.parametrize("estimator", [fn.estimate_sobolev_constant,
+                                       fn.estimate_embedding_constant])
+def test_estimator_warns_at_iteration_cap(estimator, op_1d):
+    with pytest.warns(RuntimeWarning, match="iteration cap of 3"):
+        value = estimator(op_1d, max_iter=3)
+    assert np.isfinite(value) and value > 0.0
 
 
 class TestEmbeddingConstant:
