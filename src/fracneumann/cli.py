@@ -7,6 +7,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
+from .operators import critical_exponent
 from .tent import K_q, solve_sigma
 
 
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
 
         if args.command == "constants":
             dim = cfg.dim
-            two_star = 2.0 * dim / (dim - 2.0 * cfg.s)
+            two_star = critical_exponent(dim, cfg.s)
             print(f"# tent mass constants, N={dim} "
                   f"(s={cfg.s}, p={cfg.p}, 2*_s={two_star:.6g})")
             qs = sorted({1.0, 2.0, cfg.p, two_star})

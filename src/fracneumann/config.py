@@ -198,7 +198,9 @@ def _validate(cfg: RunConfig) -> None:
             f"need dim > 2 s (finite critical exponent): dim={cfg.dim}, s={cfg.s}; "
             "for an interval use s < 1/2"
         )
-    two_star = 2.0 * cfg.dim / (cfg.dim - 2.0 * cfg.s)
+    from .operators import critical_exponent
+
+    two_star = critical_exponent(cfg.dim, cfg.s)
     if cfg.model == "power" and not (2.0 < cfg.p < two_star):
         raise ConfigError(
             f"nonlinearity.p must lie in (2, 2*_s) = (2, {two_star:.6g}), got {cfg.p}"

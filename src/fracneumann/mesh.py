@@ -56,20 +56,9 @@ class DomainMesh:
         """All node coordinates, interior block first."""
         return np.vstack([self.interior_nodes, self.exterior_nodes])
 
-    @property
-    def volumes(self) -> np.ndarray:
-        """Per-node quadrature weights (uniform)."""
-        return np.full(self.n_total, self.cell_volume)
-
     def domain_measure(self) -> float:
         """Discrete |domain| = sum of interior cell volumes."""
         return self.n_interior * self.cell_volume
-
-    def diameter(self) -> float:
-        d = self.domain_descriptor
-        if d["kind"] == "interval":
-            return d["b"] - d["a"]
-        return float(np.hypot(d["bx"] - d["ax"], d["by"] - d["ay"]))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Strict interior test for points ``x`` of shape (m, dim)."""

@@ -30,12 +30,12 @@ from .operators import (bilinear_form, estimate_sobolev_constant,
                         _graph_laplacian_apply)
 from .problem import (
     ProblemSpec,
-    F_eval,
     check_hypotheses,
     energy,
     energy_gradient,
     f_eval,
     fprime_eval,
+    _reaction,
 )
 from .tent import TentThresholds, thresholds
 
@@ -52,6 +52,8 @@ __all__ = [
 CONSTANT_CAPTURE_TOL = 1e-8
 SEGMENT_SAMPLES = 7
 FLOW_STALL_WINDOW = 30
+FLOW_MAX_SWEEPS = 2000
+NEWTON_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -147,14 +149,9 @@ class _PathState:
         self.lrows = _graph_laplacian_apply(op, path)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
 
-    def reaction(self, rows: np.ndarray) -> np.ndarray:
-        ui = rows[..., :self.ni]
-        return self.vol * np.sum(
-            0.5 * ui * ui - F_eval(self.spec.nonlinearity, ui), axis=-1)
-
     def node_energies(self) -> np.ndarray:
         quad = 0.5 * self.e2s * np.einsum("ij,ij->i", self.path, self.lrows)
-        return quad + self.reaction(self.path)
+        return quad + _reaction(self.spec, self.path[:, :self.ni])
 
     def crest(self) -> tuple[float, np.ndarray]:
         """(value, point) of the sampled path maximum over nodes and
@@ -174,9 +171,7 @@ class _PathState:
         a_i = p[:-1, :self.ni]
         b_i = p[1:, :self.ni]
         combos = (1.0 - t[:, :, None]) * a_i[None, :, :] + t[:, :, None] * b_i[None, :, :]
-        react = self.vol * np.sum(
-            0.5 * combos * combos - F_eval(self.spec.nonlinearity, combos), axis=-1)
-        vals = quad + react
+        vals = quad + _reaction(self.spec, combos)
         flat = int(np.argmax(vals))
         ti, seg = np.unravel_index(flat, vals.shape)
         if float(vals[ti, seg]) > best_val:
@@ -211,7 +206,7 @@ class _PathState:
         s_pp = np.einsum("ij,ij->i", p, lp)
         s_pg = np.einsum("ij,ij->i", p, lg)
         s_gg = np.einsum("ij,ij->i", g, lg)
-        e0 = 0.5 * self.e2s * s_pp + self.reaction(p)
+        e0 = 0.5 * self.e2s * s_pp + _reaction(self.spec, p[:, :self.ni])
         gg_vol = self.vol * np.einsum("ij,ij->i", g, g)
 
         seg_len = np.linalg.norm(np.diff(self.path, axis=0), axis=1).mean()
@@ -226,9 +221,7 @@ class _PathState:
             cand = p[active, :self.ni] - t[active, None] * g[active, :self.ni]
             cand_e = (0.5 * self.e2s * (s_pp[active] - 2.0 * t[active] * s_pg[active]
                                         + t[active] ** 2 * s_gg[active])
-                      + self.vol * np.sum(0.5 * cand * cand
-                                          - F_eval(self.spec.nonlinearity, cand),
-                                          axis=-1))
+                      + _reaction(self.spec, cand))
             ok = cand_e <= e0[active] - 1e-4 * t[active] * gg_vol[active]
             idx = np.flatnonzero(active)
             accepted[idx[ok]] = True
@@ -268,15 +261,19 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
 
     The Jacobian of the gradient is the dense Hessian
     ``eps^(2s)/vol * L + diag(1 - f'(u))`` (reaction terms on interior nodes
-    only).  Steps are accepted on sup-norm residual decrease, with plain
-    gradient steps as fallback; the iteration is matrix-factorization bound.
+    only), formed once per call; a step rewrites only its diagonal.  Steps
+    are accepted on sup-norm residual decrease, with plain gradient steps as
+    fallback; the iteration is matrix-factorization bound.
     """
     op = spec.op
     ni = spec.mesh.n_interior
-    vol = spec.mesh.cell_volume
-    e2s = spec.eps ** (2.0 * op.s)
     nl = spec.nonlinearity
 
+    hess = np.diag(op.row_sums)
+    hess -= op.weights
+    hess *= spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
+    diag = hess.ravel()[:: hess.shape[0] + 1]  # a view: writes reach hess
+    kernel_diag = diag.copy()
     u = u0.copy()
     g = energy_gradient(spec, u)
     res = float(np.max(np.abs(g)))
@@ -285,8 +282,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
         if res <= grad_tol:
             break
         used += 1
-        hess = (e2s / vol) * (np.diag(op.row_sums) - op.weights)
-        diag = hess.ravel()[:: hess.shape[0] + 1]
+        diag[:] = kernel_diag
         diag[:ni] += 1.0 - fprime_eval(nl, u[:ni])
         try:
             dx = np.linalg.solve(hess, -g)
@@ -367,7 +363,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     hist = []
     steps = np.full(P0 - 2, cfg.descent_step)
     stall = 0
-    flow_budget = max(1, min(cfg.max_outer - 1, 2000))
+    flow_budget = max(1, min(cfg.max_outer - 1, FLOW_MAX_SWEEPS))
     flow_iters = 0
     for _ in range(flow_budget):
         flow_iters += 1
@@ -383,8 +379,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         state.flow_step(steps)
         state.resample(P0)
 
-    u, newton_iters = _newton_polish(spec, crest_pt, grad_tol,
-                                     max_iter=min(200, cfg.max_outer - flow_iters))
+    newton_budget = min(NEWTON_MAX_STEPS, cfg.max_outer - flow_iters)
+    u, newton_iters = _newton_polish(spec, crest_pt, grad_tol, newton_budget)
     iterations = flow_iters + newton_iters
 
     level = energy(spec, u)

@@ -61,6 +61,11 @@ def normalization_constant(dim: int, s: float) -> float:
     )
 
 
+def critical_exponent(dim: int, s: float) -> float:
+    """Fractional Sobolev critical exponent ``2* = 2 dim / (dim - 2 s)``."""
+    return 2.0 * dim / (dim - 2.0 * s)
+
+
 @dataclass(frozen=True, eq=False)
 class FormOperator:
     """Assembled kernel weights on a mesh, for one order ``s`` and scale ``eps``.
@@ -170,16 +175,19 @@ def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     return _laplacian(op.weights, op.row_sums, u)
 
 
+def _flux(op: FormOperator, u: np.ndarray) -> np.ndarray:
+    """The kernel integral at every node: ``(-Δ)^s u`` on interior rows and,
+    the same integral taken outside the domain, ``N_s u`` on collar rows."""
+    return _graph_laplacian_apply(op, u) / op.mesh.cell_volume
+
+
 def frac_laplacian(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Discrete fractional Laplacian at the interior nodes.
 
     Midpoint quadrature of the principal-value integral over the meshed
     region: ``c_ns * sum_j vol_j (u_i - u_j) / |x_i - x_j|**(dim+2s)``.
     """
-    u = _check_size(op, u)
-    vol = op.mesh.cell_volume
-    ni = op.n_interior
-    return _graph_laplacian_apply(op, u)[:ni] / vol
+    return _flux(op, _check_size(op, u))[:op.n_interior]
 
 
 def neumann_derivative(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -188,10 +196,7 @@ def neumann_derivative(op: FormOperator, u: np.ndarray) -> np.ndarray:
     ``c_ns * sum_{j interior} vol_j (u_k - u_j) / |x_k - x_j|**(dim+2s)``;
     exterior rows of the weight matrix only couple to interior nodes.
     """
-    u = _check_size(op, u)
-    vol = op.mesh.cell_volume
-    ni = op.n_interior
-    return _graph_laplacian_apply(op, u)[ni:] / vol
+    return _flux(op, _check_size(op, u))[op.n_interior:]
 
 
 def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
@@ -250,9 +255,8 @@ def check_integration_by_parts(op: FormOperator, u: np.ndarray,
     ni = op.n_interior
     vol = op.mesh.cell_volume
     lhs = seminorm_form(op, u, v)
-    flap = frac_laplacian(op, u)
-    nder = neumann_derivative(op, u)
-    rhs = vol * float(v[:ni] @ flap) + vol * float(v[ni:] @ nder)
+    flux = _flux(op, u)
+    rhs = vol * float(v[:ni] @ flux[:ni]) + vol * float(v[ni:] @ flux[ni:])
     return abs(lhs - rhs)
 
 
@@ -260,11 +264,10 @@ def ibp_scale(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
     """Magnitude scale of the Green identity terms, for relative residuals."""
     ni = op.n_interior
     vol = op.mesh.cell_volume
-    flap = frac_laplacian(op, u)
-    nder = neumann_derivative(op, u)
+    flux = np.abs(_flux(op, _check_size(op, u)))
     return (
-        vol * float(np.abs(v[:ni]) @ np.abs(flap))
-        + vol * float(np.abs(v[ni:]) @ np.abs(nder))
+        vol * float(np.abs(v[:ni]) @ flux[:ni])
+        + vol * float(np.abs(v[ni:]) @ flux[ni:])
     )
 
 
@@ -274,19 +277,19 @@ def check_divergence(op: FormOperator, u: np.ndarray) -> float:
     ``integral over domain of the fractional Laplacian
       + integral over collar of the normal derivative = 0``.
     """
-    u = _check_size(op, u)
+    ni = op.n_interior
     vol = op.mesh.cell_volume
-    a = vol * float(np.sum(frac_laplacian(op, u)))
-    b = vol * float(np.sum(neumann_derivative(op, u)))
+    flux = _flux(op, _check_size(op, u))
+    a = vol * float(np.sum(flux[:ni]))
+    b = vol * float(np.sum(flux[ni:]))
     return abs(a + b)
 
 
 def divergence_scale(op: FormOperator, u: np.ndarray) -> float:
+    ni = op.n_interior
     vol = op.mesh.cell_volume
-    return (
-        vol * float(np.sum(np.abs(frac_laplacian(op, u))))
-        + vol * float(np.sum(np.abs(neumann_derivative(op, u))))
-    )
+    flux = np.abs(_flux(op, _check_size(op, u)))
+    return vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:]))
 
 
 def _regional_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -354,8 +357,7 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     Non-convergence is reported with a warning, not an error; the last
     iterate's quotient is returned.
     """
-    dim, s = op.mesh.dim, op.s
-    q = 2.0 * dim / (dim - 2.0 * s)
+    q = critical_exponent(op.mesh.dim, op.s)
     w, d = _regional_matrix(op)
     vol = op.mesh.cell_volume
 
@@ -396,11 +398,10 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     seminorm-dominated.  Maximized by gradient ascent from a deterministic
     bump profile with zero-flux collar values; reaching ``max_iter`` warns.
     """
-    dim, s, eps = op.mesh.dim, op.s, op.eps
-    q = 2.0 * dim / (dim - 2.0 * s)
+    q = critical_exponent(op.mesh.dim, op.s)
     ni = op.n_interior
     vol = op.mesh.cell_volume
-    e2s = eps ** (2.0 * s)
+    e2s = op.eps ** (2.0 * op.s)
 
     def norm(v: np.ndarray) -> float:
         return _lq_norm(v[:ni], vol, q)

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .mesh import DomainMesh
-from .operators import (FormOperator, seminorm_form, _check_size,
-                        _graph_laplacian_apply)
+from .operators import (FormOperator, critical_exponent, seminorm_form,
+                        _check_size, _graph_laplacian_apply)
 
 __all__ = [
     "NonlinearitySpec",
@@ -252,11 +252,18 @@ class ProblemSpec:
 
     @property
     def two_star(self) -> float:
-        return 2.0 * self.dim / (self.dim - 2.0 * self.s)
+        return critical_exponent(self.dim, self.s)
 
     def constant_energy(self, mu: float) -> float:
         """Energy of the constant function mu: ``(mu^2/2 - F(mu)) |domain|``."""
         return (mu * mu / 2.0 - F_eval(self.nonlinearity, mu)) * self.mesh.domain_measure()
+
+
+def _reaction(spec: ProblemSpec, ui: np.ndarray):
+    """``vol * sum(u^2/2 - F(u))`` over the last axis of interior values: the
+    non-quadratic part of the energy, for one function or a stack of them."""
+    return spec.mesh.cell_volume * np.sum(
+        0.5 * ui * ui - F_eval(spec.nonlinearity, ui), axis=-1)
 
 
 def energy(spec: ProblemSpec, u: np.ndarray) -> float:
@@ -267,11 +274,8 @@ def energy(spec: ProblemSpec, u: np.ndarray) -> float:
     decomposition ``energy = 0.5 ||u||^2 - integral F(u)`` is exact.
     """
     u = _check_size(spec.op, u)
-    ni = spec.mesh.n_interior
-    vol = spec.mesh.cell_volume
     quad = 0.5 * spec.eps ** (2.0 * spec.s) * seminorm_form(spec.op, u, u)
-    ui = u[:ni]
-    return quad + vol * float(np.sum(0.5 * ui * ui - F_eval(spec.nonlinearity, ui)))
+    return quad + float(_reaction(spec, u[:spec.mesh.n_interior]))
 
 
 def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import beta as _beta, gamma as _gamma
 
 from .mesh import DomainMesh
-from .operators import bilinear_form
-from .problem import ProblemSpec, energy, f_eval
+from .operators import bilinear_form, seminorm_form
+from .problem import ProblemSpec, f_eval, _reaction
 
 __all__ = [
     "unit_ball_volume",
@@ -109,19 +109,26 @@ def solve_sigma(dim: int, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def g_of_t(spec: ProblemSpec, phi: np.ndarray, t: float) -> float:
-    """Energy along the tent ray: ``g(t) = energy(t * phi)``."""
-    return energy(spec, t * phi)
+def g_of_t(spec: ProblemSpec, phi: np.ndarray, t):
+    """Energy along the tent ray, ``g(t) = energy(t * phi)``, in the closed
+    form ``(t^2/2) eps^(2s) [phi]^2 + integral (t^2 phi^2/2 - F(t phi))``,
+    for a scalar t (float result) or an array of t (one kernel apply)."""
+    t = np.asarray(t, dtype=float)
+    semi = spec.eps ** (2.0 * spec.s) * seminorm_form(spec.op, phi, phi)
+    tphi = t[..., None] * phi[:spec.mesh.n_interior]
+    g = 0.5 * t * t * semi + _reaction(spec, tphi)
+    return g if g.ndim else float(g)
 
 
-def g_prime(spec: ProblemSpec, phi: np.ndarray, t: float) -> float:
+def g_prime(spec: ProblemSpec, phi: np.ndarray, t):
     """Exact derivative of the ray energy:
-    ``t ||phi||^2 - integral f(t phi) phi``."""
+    ``t ||phi||^2 - integral f(t phi) phi``, for a scalar or an array t."""
+    t = np.asarray(t, dtype=float)
     norm_sq = bilinear_form(spec.op, phi, phi)
-    ni = spec.mesh.n_interior
-    vol = spec.mesh.cell_volume
-    fi = f_eval(spec.nonlinearity, t * phi[:ni])
-    return t * norm_sq - vol * float(fi @ phi[:ni])
+    phi_i = phi[:spec.mesh.n_interior]
+    fi = f_eval(spec.nonlinearity, t[..., None] * phi_i)
+    g = t * norm_sq - spec.mesh.cell_volume * (fi @ phi_i)
+    return g if g.ndim else float(g)
 
 
 @dataclass(frozen=True)
@@ -175,16 +182,14 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray,
     c1 = c_est * m_r1 * m_r1 / (2.0 * sigma * sigma)
     bound = c1 * eps**dim
 
-    failures = []
-    g_max = -np.inf
-    for t in np.geomspace(1e-6, 10.0 * t2, scan_points):
-        g_max = max(g_max, g_of_t(spec, phi, t))
-    for t in np.geomspace(1.01 * t1, 10.0 * t2, scan_points):
-        if g_prime(spec, phi, t) >= 0.0:
-            failures.append(("g_prime_nonnegative", float(t)))
-    for t in np.geomspace(t2, 10.0 * t2, scan_points):
-        if g_of_t(spec, phi, t) >= 0.0:
-            failures.append(("g_nonnegative", float(t)))
+    g_max = float(np.max(g_of_t(spec, phi,
+                                np.geomspace(1e-6, 10.0 * t2, scan_points))))
+    ts = np.geomspace(1.01 * t1, 10.0 * t2, scan_points)
+    failures = [("g_prime_nonnegative", float(t))
+                for t in ts[g_prime(spec, phi, ts) >= 0.0]]
+    ts = np.geomspace(t2, 10.0 * t2, scan_points)
+    failures += [("g_nonnegative", float(t))
+                 for t in ts[g_of_t(spec, phi, ts) >= 0.0]]
     if g_max > bound:
         failures.append(("g_max_exceeds_bound", float(g_max)))
 

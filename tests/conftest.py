@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import fracneumann as fn
+from fracneumann import operators
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +55,54 @@ def solved_problem():
 def random_grid_function(mesh, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(mesh.n_total)
+
+
+@pytest.fixture
+def apply_counter(monkeypatch):
+    """Records the argument shape of every kernel application made through
+    the shared full-mesh apply while the test runs."""
+    calls = []
+    apply = operators._graph_laplacian_apply
+
+    def counted(op, u):
+        calls.append(np.shape(u))
+        return apply(op, u)
+
+    monkeypatch.setattr(operators, "_graph_laplacian_apply", counted)
+    return calls
+
+
+@st.composite
+def small_operators(draw):
+    """Dense operators on small random 1D and 2D meshes, random order s."""
+    h = draw(st.floats(0.1, 0.5))
+    if draw(st.booleans()):
+        a = draw(st.floats(-2.0, 0.0))
+        length = draw(st.integers(2, 12)) * h
+        mesh = fn.build_interval_mesh(a, a + length, h,
+                                      draw(st.floats(1.05, 2.0)) * length)
+        s = draw(st.floats(0.05, 0.45))
+    else:
+        bx, by = draw(st.integers(1, 4)) * h, draw(st.integers(1, 4)) * h
+        mesh = fn.build_box_mesh(((0.0, bx), (0.0, by)), h,
+                                 draw(st.floats(1.05, 1.5)) * np.hypot(bx, by))
+        s = draw(st.floats(0.05, 0.95))
+    return fn.assemble(mesh, s, 1.0)
+
+
+@st.composite
+def small_problems(draw):
+    """Power-model problems on :func:`small_operators`, with random eps and
+    an exponent p strictly inside (2, 2*)."""
+    op = draw(small_operators()).with_eps(draw(st.floats(0.05, 2.0)))
+    two_star = operators.critical_exponent(op.mesh.dim, op.s)
+    p = 2.0 + draw(st.floats(0.05, 0.95)) * min(two_star - 2.0, 4.0)
+    return fn.ProblemSpec(op.mesh, op, fn.power_nonlinearity(p))
+
+
+def energy_scale(spec, u):
+    """``||u||^2/2 + integral F(u)``: the sum of the magnitudes of the energy
+    terms, the scale of its roundoff."""
+    ui = u[:spec.mesh.n_interior]
+    return (0.5 * fn.bilinear_form(spec.op, u, u)
+            + spec.mesh.cell_volume * float(np.sum(fn.F_eval(spec.nonlinearity, ui))))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
-from fracneumann.mountain_pass import _sphere_bound
+from fracneumann.mountain_pass import _PathState, _sphere_bound
+
+from conftest import energy_scale, small_problems
 
 
 class TestEndpoint:
@@ -18,6 +21,19 @@ class TestEndpoint:
         rho, delta = _sphere_bound(spec, solved_problem["sobolev"])
         assert delta > 0.0
         assert fn.bilinear_form(spec.op, e, e) ** 0.5 > rho
+
+
+class TestPathEnergies:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           points=st.integers(3, 8))
+    def test_match_energy(self, spec, seed, points):
+        path = np.random.default_rng(seed).standard_normal((points, spec.mesh.n_total))
+        state = _PathState(spec, path)
+        for u, got in zip(path, state.node_energies()):
+            assert abs(got - fn.energy(spec, u)) <= 1e-12 * energy_scale(spec, u)
+        val, pt = state.crest()
+        assert abs(val - fn.energy(spec, pt)) <= 1e-12 * energy_scale(spec, pt)
 
 
 class TestSolve:

@@ -7,7 +7,7 @@ import fracneumann as fn
 from fracneumann.operators import (_graph_laplacian_apply, divergence_scale,
                                    ibp_scale)
 
-from conftest import random_grid_function
+from conftest import random_grid_function, small_operators
 
 
 def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
@@ -59,24 +59,6 @@ class TestAssembly:
         assert other.eps == 0.05
         with pytest.raises(ValueError, match="positive"):
             op_1d.with_eps(-1.0)
-
-
-@st.composite
-def small_operators(draw):
-    """Dense operators on small random 1D and 2D meshes, random order s."""
-    h = draw(st.floats(0.1, 0.5))
-    if draw(st.booleans()):
-        a = draw(st.floats(-2.0, 0.0))
-        length = draw(st.integers(2, 12)) * h
-        mesh = fn.build_interval_mesh(a, a + length, h,
-                                      draw(st.floats(1.05, 2.0)) * length)
-        s = draw(st.floats(0.05, 0.45))
-    else:
-        bx, by = draw(st.integers(1, 4)) * h, draw(st.integers(1, 4)) * h
-        mesh = fn.build_box_mesh(((0.0, bx), (0.0, by)), h,
-                                 draw(st.floats(1.05, 1.5)) * np.hypot(bx, by))
-        s = draw(st.floats(0.05, 0.95))
-    return fn.assemble(mesh, s, 1.0)
 
 
 class TestSharedApply:
@@ -217,6 +199,20 @@ class TestIdentities:
             v = random_grid_function(op.mesh, 400 + seed)
             resid = fn.check_integration_by_parts(op, u, v)
             assert resid <= 1e-12 * ibp_scale(op, u, v)
+
+    @pytest.mark.parametrize("check, applies", [
+        (lambda op, u, v: fn.check_divergence(op, u), 1),
+        (lambda op, u, v: divergence_scale(op, u), 1),
+        (fn.check_integration_by_parts, 2),
+        (ibp_scale, 1),
+    ], ids=["gauss", "gauss_scale", "green", "green_scale"])
+    def test_one_flux_per_check(self, check, applies, op_2d, apply_counter):
+        # the Laplacian and the normal derivative are rows of one flux, so
+        # each check applies the kernel to u once (Green adds the seminorm)
+        u = random_grid_function(op_2d.mesh, 5)
+        v = random_grid_function(op_2d.mesh, 6)
+        check(op_2d, u, v)
+        assert len(apply_counter) == applies
 
     def test_gauss_constant_exact_zero(self, op_1d, mesh_1d):
         c = np.full(mesh_1d.n_total, 1.3)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import fracneumann as fn
 from fracneumann.tent import unit_ball_volume
+
+from conftest import energy_scale, small_problems
 
 
 def tent_mass_oracle(dim, q):
@@ -136,6 +139,47 @@ class TestRayEnergy:
             assert fn.g_prime(spec, phi, t) == pytest.approx(fd, rel=1e-6)
 
 
+# Zero or at least 1e-6: below about 1e-154, t**2 is subnormal and relative
+# error bounds stop meaning anything.
+ray_parameters = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+
+
+class TestClosedFormRay:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           ts=st.lists(ray_parameters, min_size=1, max_size=6))
+    def test_matches_energy_along_the_ray(self, spec, seed, ts):
+        phi = np.random.default_rng(seed).standard_normal(spec.mesh.n_total)
+        got = fn.g_of_t(spec, phi, np.array(ts))
+        assert got.shape == (len(ts),)
+        for t, g in zip(ts, got):
+            want = fn.energy(spec, t * phi)
+            assert abs(g - want) <= 1e-12 * energy_scale(spec, t * phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           ts=st.lists(ray_parameters, min_size=1, max_size=6))
+    def test_array_derivative_matches_scalar_calls(self, spec, seed, ts):
+        phi = np.random.default_rng(seed).standard_normal(spec.mesh.n_total)
+        got = fn.g_prime(spec, phi, np.array(ts))
+        phi_i = phi[:spec.mesh.n_interior]
+        norm_sq = fn.bilinear_form(spec.op, phi, phi)
+        for t, g in zip(ts, got):
+            # a gemv and a dot sum in different orders: not bit-equal
+            fphi = np.abs(fn.f_eval(spec.nonlinearity, t * phi_i) * phi_i)
+            scale = t * norm_sq + spec.mesh.cell_volume * float(np.sum(fphi))
+            assert abs(g - fn.g_prime(spec, phi, t)) <= 1e-13 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           t=ray_parameters)
+    def test_scalar_in_float_out(self, spec, seed, t):
+        phi = np.random.default_rng(seed).standard_normal(spec.mesh.n_total)
+        assert type(fn.g_of_t(spec, phi, t)) is float
+        assert type(fn.g_prime(spec, phi, t)) is float
+        assert fn.g_of_t(spec, phi, 0.0) == 0.0
+
+
 class TestThresholds:
     def test_ordering_and_certificates(self, tent_scene):
         spec, phi = tent_scene
@@ -143,6 +187,12 @@ class TestThresholds:
         assert 0.0 < tent.t1 < tent.t2
         assert tent.scan_ok, tent.failures
         assert tent.g_max <= tent.bound
+
+    def test_kernel_applied_at_most_four_times(self, tent_scene, apply_counter):
+        # ||phi||^2 once, then one apply per scan: the ray is closed-form in t
+        spec, phi = tent_scene
+        fn.thresholds(spec, phi)
+        assert len(apply_counter) <= 4
 
     def test_non_power_model_rejected(self, tent_scene):
         spec, phi = tent_scene
