@@ -23,7 +23,6 @@ def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.solver_seed = args.seed
     return cfg
 
 

@@ -21,7 +21,7 @@ KNOWN_KEYS = {
     "s", "eps", "eps_list",
     "nonlinearity.model", "nonlinearity.p",
     "solver.path_points", "solver.grad_tol", "solver.max_outer",
-    "solver.descent_step", "solver.seed", "solver.jitter",
+    "solver.descent_step",
     "moser.n_max",
     "seed",
 }
@@ -53,8 +53,6 @@ class RunConfig:
     grad_tol: float | None = None
     max_outer: int = 20000
     descent_step: float = 0.5
-    solver_seed: int = 0
-    jitter: float = 0.0
     n_max: int = 12
     seed: int = 0
     config_sha256: str = ""
@@ -100,8 +98,7 @@ class RunConfig:
         from .mountain_pass import MPAConfig
 
         return MPAConfig(path_points=self.path_points, grad_tol=self.grad_tol,
-                         max_outer=self.max_outer, descent_step=self.descent_step,
-                         seed=self.solver_seed, jitter=self.jitter)
+                         max_outer=self.max_outer, descent_step=self.descent_step)
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -150,7 +147,7 @@ def parse_config(text: str) -> RunConfig:
                       ("domain.ay", "ay"), ("domain.by", "by"),
                       ("domain.h", "h"), ("s", "s"),
                       ("solver.descent_step", "descent_step"),
-                      ("nonlinearity.p", "p"), ("solver.jitter", "jitter")):
+                      ("nonlinearity.p", "p")):
         if key in pairs:
             setattr(cfg, attr, _parse_float(key, pairs[key]))
     if "domain.r_ext" in pairs:
@@ -166,7 +163,6 @@ def parse_config(text: str) -> RunConfig:
         cfg.grad_tol = _parse_float("solver.grad_tol", pairs["solver.grad_tol"])
     for key, attr in (("solver.path_points", "path_points"),
                       ("solver.max_outer", "max_outer"),
-                      ("solver.seed", "solver_seed"),
                       ("moser.n_max", "n_max"), ("seed", "seed")):
         if key in pairs:
             setattr(cfg, attr, _parse_int(key, pairs[key]))

@@ -14,7 +14,9 @@ near a saddle.
 Certificates attached to a solve:
   * level positivity against the explicit sphere bound
     ``delta = rho^2 (a - A rho^(p-2))`` with ``a = 1/2 - eta`` and
-    ``A = S^2 eps^(-2s)`` from the estimated embedding constant;
+    ``A = S^2 eps^(-2s)`` from the zero-mean regional Sobolev constant
+    (:func:`~fracneumann.operators.estimate_sobolev_constant`, the default
+    and what the sweep passes);
   * nonnegativity via the energy of the negative part;
   * non-constancy via the ratio of the level to the best constant-solution
     energy.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (bilinear_form, estimate_sobolev_constant,
-                        _graph_laplacian_apply)
+                        _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
     check_hypotheses,
@@ -61,18 +63,13 @@ class MPAConfig:
     """Knobs of the path-deformation solver.
 
     ``grad_tol=None`` resolves to ``1e-8`` times the sup norm of the energy
-    gradient at the path endpoint (the problem scale).  ``jitter`` adds a
-    seeded random bump to the interior of the initial path, for symmetry
-    breaking experiments; the default keeps the solve fully deterministic
-    regardless of the seed.
+    gradient at the path endpoint (the problem scale).
     """
 
     path_points: int = 21
     grad_tol: float | None = None
     max_outer: int = 20000
     descent_step: float = 0.5
-    seed: int = 0
-    jitter: float = 0.0
 
     def __post_init__(self):
         if self.path_points < 8:
@@ -259,20 +256,22 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
                    max_iter: int) -> tuple[np.ndarray, int]:
     """Drive the crest point to a critical point with damped Newton steps.
 
-    The Jacobian of the gradient is the dense Hessian
-    ``eps^(2s)/vol * L + diag(1 - f'(u))`` (reaction terms on interior nodes
-    only), formed once per call; a step rewrites only its diagonal.  Steps
-    are accepted on sup-norm residual decrease, with plain gradient steps as
-    fallback; the iteration is matrix-factorization bound.
+    The Jacobian of the gradient is ``eps^(2s)/vol * L + diag(1 - f'(u))``
+    (reaction terms on interior nodes only).  Its collar block is diagonal,
+    so the collar step is eliminated exactly: the interior step solves the
+    system on :func:`_reduced_matrix`, formed once per call with only its
+    diagonal rewritten per step.  Steps are accepted on sup-norm residual
+    decrease, with plain gradient steps as fallback.
     """
     op = spec.op
     ni = spec.mesh.n_interior
-    nl = spec.nonlinearity
+    scale = spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
+    w_ie = op.weights[:ni, ni:]
+    d_e = op.row_sums[ni:]
 
-    hess = np.diag(op.row_sums)
-    hess -= op.weights
-    hess *= spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
-    diag = hess.ravel()[:: hess.shape[0] + 1]  # a view: writes reach hess
+    # the diagonal takes the full row sums, as the gradient's apply does
+    hess = scale * (np.diag(op.row_sums[:ni]) - _reduced_matrix(op)[0])
+    diag = hess.ravel()[:: ni + 1]  # a view: writes reach hess
     kernel_diag = diag.copy()
     u = u0.copy()
     g = energy_gradient(spec, u)
@@ -282,10 +281,11 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
         if res <= grad_tol:
             break
         used += 1
-        diag[:] = kernel_diag
-        diag[:ni] += 1.0 - fprime_eval(nl, u[:ni])
+        diag[:] = kernel_diag + (1.0 - fprime_eval(spec.nonlinearity, u[:ni]))
+        ge = g[ni:] / d_e
         try:
-            dx = np.linalg.solve(hess, -g)
+            dx_i = np.linalg.solve(hess, -g[:ni] - w_ie @ ge)
+            dx = np.concatenate([dx_i, (dx_i @ w_ie) / d_e - ge / scale])
         except np.linalg.LinAlgError:
             dx = -g
         accepted = False
@@ -348,15 +348,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         grad_tol = 1e-8 * float(np.max(np.abs(energy_gradient(spec, e))))
 
     P0 = cfg.path_points
-    path = np.linspace(0.0, 1.0, P0)[:, None] * e[None, :]
-    if cfg.jitter > 0.0:
-        rng = np.random.default_rng(cfg.seed)
-        ts = np.linspace(0.0, 1.0, P0)
-        bump = ts * (1.0 - ts)
-        path[1:-1] += (cfg.jitter * np.max(np.abs(e))
-                       * bump[1:-1, None]
-                       * rng.standard_normal((P0 - 2, op.n_total)))
-    state = _PathState(spec, path)
+    state = _PathState(spec, np.linspace(0.0, 1.0, P0)[:, None] * e[None, :])
 
     incumbent = np.inf
     crest_pt = state.path[P0 // 2].copy()

@@ -299,6 +299,16 @@ def _regional_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     return w, w @ np.ones(ni)
 
 
+def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Interior weights ``W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
+    form over collar values (the zero-flux extension; the collar block is
+    diagonal), and its row sums, which equal ``op.row_sums[:ni]``."""
+    ni = op.n_interior
+    b = op.weights[:ni, ni:] / np.sqrt(op.row_sums[ni:])
+    m = op.weights[:ni, :ni] + b @ b.T
+    return m, m @ np.ones(ni)
+
+
 def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
     """``(1/2) sum_ij w_ij (u_i - u_j)^2`` over a :func:`_regional_matrix`."""
     return float(_centered(u) @ _laplacian(w, d, u))
@@ -313,19 +323,19 @@ def _lq_norm(values: np.ndarray, vol: float, q: float) -> float:
 
 
 def _ascend(objective, gradient, norm, u: np.ndarray, max_iter: int,
-            rtol: float, what: str) -> float:
+            rtol: float, what: str) -> tuple[float, np.ndarray]:
     """Maximize ``objective(u) -> (value, aux)`` along ``gradient(u, aux)``
     from the normalized ``u``; ``norm(v)`` projects v in place and returns
     the norm it is divided by.  Steps double (capped at 1e6) and are halved
     up to 60 times until the value strictly improves.  Stops at a gradient
     norm below ``rtol * |value|`` or when no step improves; warns at
-    ``max_iter``."""
+    ``max_iter``.  Returns the last value and its iterate."""
     val, aux = objective(u)
     step = 1.0
     for _ in range(max_iter):
         grad = gradient(u, aux)
         if float(np.linalg.norm(grad)) <= rtol * max(abs(val), 1e-300):
-            return val
+            return val, u
         step = min(step * 2.0, 1e6)
         for _ in range(60):
             cand = u + step * grad
@@ -338,10 +348,10 @@ def _ascend(objective, gradient, norm, u: np.ndarray, max_iter: int,
                     break
             step *= 0.5
         else:
-            return val  # no ascent left at float resolution
+            return val, u  # no ascent left at float resolution
     warnings.warn(f"{what} hit the iteration cap of {max_iter}; returning "
                   "the last iterate's estimate", RuntimeWarning, stacklevel=3)
-    return val
+    return val, u
 
 
 def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
@@ -380,8 +390,8 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     # Deterministic low-frequency start: first coordinate, centered.
     u = op.mesh.interior_nodes[:, 0].copy()
     u /= norm(u)
-    val = _ascend(neg_rayleigh, ascent, norm, u, max_iter, rtol,
-                  "Sobolev quotient minimization")
+    val, _ = _ascend(neg_rayleigh, ascent, norm, u, max_iter, rtol,
+                     "Sobolev quotient minimization")
     return float((-val) ** 0.5)
 
 
@@ -395,39 +405,39 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     form ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2`` actually requires for all u;
     the zero-mean regional quotient of :func:`estimate_sobolev_constant`
     underestimates it on smooth bumps, whose full-form energy is not
-    seminorm-dominated.  Maximized by gradient ascent from a deterministic
-    bump profile with zero-flux collar values; reaching ``max_iter`` warns.
+    seminorm-dominated.  Maximized over interior values with the collar
+    eliminated (:func:`_reduced_matrix`) by gradient ascent from a
+    deterministic bump profile; reaching ``max_iter`` warns.  Returns the
+    full-form quotient of the maximizer's :func:`exterior_extension`.
     """
     q = critical_exponent(op.mesh.dim, op.s)
-    ni = op.n_interior
+    m, d = _reduced_matrix(op)
     vol = op.mesh.cell_volume
     e2s = op.eps ** (2.0 * op.s)
 
     def norm(v: np.ndarray) -> float:
-        return _lq_norm(v[:ni], vol, q)
+        return _lq_norm(v, vol, q)
 
     def quotient(v: np.ndarray):
+        lv = _laplacian(m, d, v)
         num = e2s * norm(v) ** 2
-        den = bilinear_form(op, v, v)
-        return num / den, (num, den)
+        den = e2s * float(_centered(v) @ lv) + vol * float(v @ v)
+        return num / den, (num, den, lv)
 
     def ascent(v: np.ndarray, aux) -> np.ndarray:
-        num, den = aux
+        num, den, lv = aux
         lq = (num / e2s) ** 0.5
-        grad_num = np.zeros(op.n_total)
-        grad_num[:ni] = (2.0 * e2s * lq ** (2.0 - q) * vol
-                         * np.abs(v[:ni]) ** (q - 2.0) * v[:ni])
-        grad_den = 2.0 * _graph_laplacian_apply(op, v) * e2s
-        grad_den[:ni] += 2.0 * vol * v[:ni]
+        grad_num = 2.0 * e2s * lq ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
+        grad_den = 2.0 * e2s * lv + 2.0 * vol * v
         return (grad_num * den - num * grad_den) / den**2
 
     r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
-    bump = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
-    u = exterior_extension(op, bump)
+    u = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
     u /= norm(u)
-    val = _ascend(quotient, ascent, norm, u, max_iter, rtol,
-                  "embedding quotient maximization")
-    return float(val**0.5)
+    _, u = _ascend(quotient, ascent, norm, u, max_iter, rtol,
+                   "embedding quotient maximization")
+    lift = exterior_extension(op, u)
+    return float((e2s * norm(u) ** 2 / bilinear_form(op, lift, lift)) ** 0.5)
 
 
 def verify_scaling_identity(mesh: DomainMesh, mesh_scaled: DomainMesh,

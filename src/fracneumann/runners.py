@@ -307,6 +307,7 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
                 "actual_max": ladder.actual_max,
                 "n_used": ladder.n_used,
                 "eps": eps,
+                "embedding_constant": embedding,
                 "sup_bound_ok": bound_ok,
                 "caccioppoli": cacc,
                 "all_ok": ok},

@@ -44,6 +44,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("domain.radius = 3\n")
 
+    @pytest.mark.parametrize("key", ["solver.seed", "solver.jitter"])
+    def test_no_initial_path_perturbation_keys(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"{key} = 1\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("s = 0.25\ns = 0.3\n")
@@ -175,6 +180,17 @@ class TestMoserRunner:
         assert ok
         summary = json.loads((tmp_path / "out" / "moser_summary.json").read_text())
         assert summary["sup_estimate"] >= summary["actual_max"] == 1.0
+
+    def test_records_the_embedding_constant(self, tmp_path):
+        cfg = parse_config(QUICK_SWEEP)
+        mesh = cfg.build_mesh()
+        path = tmp_path / "const.txt"
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=0.2)
+        run_moser_check(cfg, path, tmp_path / "out")
+        summary = json.loads((tmp_path / "out" / "moser_summary.json").read_text())
+        want = fn.estimate_embedding_constant(fn.assemble(mesh, cfg.s, 0.2))
+        assert summary["embedding_constant"] == want
 
     def test_missing_file_errors(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP)

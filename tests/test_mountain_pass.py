@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
-from fracneumann.mountain_pass import _PathState, _sphere_bound
+from fracneumann.mountain_pass import (NEWTON_MAX_STEPS, _newton_polish,
+                                       _PathState, _sphere_bound)
+from fracneumann.problem import fprime_eval
 
 from conftest import energy_scale, small_problems
 
@@ -101,6 +103,77 @@ class TestSolve:
         want = 1e-8 * float(np.max(np.abs(fn.energy_gradient(spec, e))))
         assert rep.grad_tol == pytest.approx(want)
         assert rep.converged
+
+
+def _full_hessian_newton(spec, u0, grad_tol, max_iter):
+    """Oracle: the Newton endgame on every node, collar included, with the
+    dense full-mesh Hessian ``eps^(2s)/vol * L + diag(1 - f'(u))``."""
+    op = spec.op
+    ni = spec.mesh.n_interior
+    kernel = (spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
+              * (np.diag(op.row_sums) - op.weights))
+    u = u0.copy()
+    g = fn.energy_gradient(spec, u)
+    res = float(np.max(np.abs(g)))
+    used = 0
+    for _ in range(max_iter):
+        if res <= grad_tol:
+            break
+        used += 1
+        hess = kernel.copy()
+        hess[np.arange(ni), np.arange(ni)] += 1.0 - fprime_eval(
+            spec.nonlinearity, u[:ni])
+        try:
+            dx = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            dx = -g
+        accepted = False
+        for direction, factor in ((dx, 1e-4), (-g, 0.0)):
+            tau = 1.0
+            for _ in range(40):
+                cand = u + tau * direction
+                g_cand = fn.energy_gradient(spec, cand)
+                res_cand = float(np.max(np.abs(g_cand)))
+                if res_cand < res * (1.0 - factor * tau):
+                    u, g, res = cand, g_cand, res_cand
+                    accepted = True
+                    break
+                tau *= 0.5
+            if accepted:
+                break
+        if not accepted:
+            break
+    return u, used
+
+
+@pytest.fixture(scope="module")
+def solved_square():
+    mesh = fn.build_box_mesh(((-0.75, 0.75), (-0.75, 0.75)), 0.25, 2.2)
+    op = fn.assemble(mesh, 0.4, 0.3)
+    spec = fn.ProblemSpec(mesh, op, fn.power_nonlinearity(3.0))
+    e = fn.endpoint(spec, fn.phi_eps(mesh, 0.3))
+    rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
+                                 sobolev_constant=fn.estimate_sobolev_constant(op))
+    assert rep.converged
+    return spec, rep
+
+
+class TestNewtonEndgame:
+    @pytest.mark.parametrize("problem", ["solved_problem", "solved_square"])
+    def test_matches_full_hessian_newton(self, problem, request):
+        solved = request.getfixturevalue(problem)
+        if problem == "solved_problem":
+            spec, rep = solved["spec"], solved["report"]
+        else:
+            spec, rep = solved
+        rng = np.random.default_rng(7)
+        u0 = rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
+        got, steps = _newton_polish(spec, u0, rep.grad_tol, NEWTON_MAX_STEPS)
+        want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol,
+                                                NEWTON_MAX_STEPS)
+        assert steps == want_steps > 1
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert fn.weak_residual(spec, got) <= rep.grad_tol
 
 
 class TestTwoDimensional:

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import fracneumann as fn
-from fracneumann.operators import (_graph_laplacian_apply, divergence_scale,
+from fracneumann import operators
+from fracneumann.operators import (_graph_laplacian_apply, _reduced_matrix,
+                                   _regional_seminorm, divergence_scale,
                                    ibp_scale)
 
 from conftest import random_grid_function, small_operators
@@ -273,7 +277,52 @@ def test_estimator_warns_at_iteration_cap(estimator, op_1d):
     assert np.isfinite(value) and value > 0.0
 
 
+class TestReducedMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1))
+    def test_eliminates_the_collar_exactly(self, op, seed):
+        ni = op.n_interior
+        m, d = _reduced_matrix(op)
+        assert np.array_equal(m, m.T)
+        assert np.all(m >= 0.0)
+        assert np.all(np.abs(d - op.row_sums[:ni]) <= 1e-14 * op.row_sums[:ni])
+
+        rng = np.random.default_rng(seed)
+        lift = fn.exterior_extension(op, rng.standard_normal(ni))
+        reduced = _regional_seminorm(m, d, lift[:ni])
+        form = fn.seminorm_form(op, lift, lift)
+        assert abs(reduced - form) <= 1e-12 * form
+        # the zero-flux collar values minimize the form
+        other = lift.copy()
+        other[ni:] += rng.standard_normal(op.n_total - ni)
+        assert reduced <= fn.seminorm_form(op, other, other) * (1.0 + 1e-12)
+
+
 class TestEmbeddingConstant:
+    def test_converges_and_returns_the_full_form_quotient(self, op_2d,
+                                                          monkeypatch):
+        maximizers = []
+        ascend = operators._ascend
+
+        def recorded(*args):
+            val, u = ascend(*args)
+            maximizers.append((val, u))
+            return val, u
+
+        monkeypatch.setattr(operators, "_ascend", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn.estimate_embedding_constant(op_2d)
+        (reduced_quotient, u), = maximizers
+        mesh = op_2d.mesh
+        qstar = operators.critical_exponent(mesh.dim, op_2d.s)
+        lq_sq = float(np.sum(mesh.cell_volume * np.abs(u) ** qstar)) ** (2.0 / qstar)
+        lift = fn.exterior_extension(op_2d, u)
+        full_quotient = (op_2d.eps ** (2.0 * op_2d.s) * lq_sq
+                         / fn.bilinear_form(op_2d, lift, lift))
+        assert value**2 == pytest.approx(full_quotient, rel=1e-12)
+        assert value**2 == pytest.approx(reduced_quotient, rel=1e-12)
+
     def test_witnesses_probe_functions(self, solved_problem):
         # the measured constant makes the scaled embedding inequality hold
         # for the function family that matters: solutions, bumps, constants
