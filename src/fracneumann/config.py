@@ -1,9 +1,10 @@
 """Flat key=value run configuration.
 
 The format is deliberately language-neutral: one ``key = value`` pair per
-line, ``#`` comments, dotted section prefixes (``domain.``, ``solver.``,
-``moser.``).  Every numeric precondition of the downstream modules is
-checked at parse time so misconfigurations fail before any assembly starts.
+line, ``#`` comments, dotted section prefixes (``domain.``,
+``nonlinearity.``, ``solver.``).  Every numeric precondition of the
+downstream modules is checked at parse time so misconfigurations fail before
+any assembly starts.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ KNOWN_KEYS = {
     "domain.ax", "domain.bx", "domain.ay", "domain.by",
     "domain.h", "domain.r_ext",
     "s", "eps", "eps_list",
-    "nonlinearity.model", "nonlinearity.p",
-    "solver.path_points", "solver.grad_tol", "solver.max_outer",
-    "solver.descent_step",
-    "moser.n_max",
-    "seed",
+    "nonlinearity.p", "solver.grad_tol", "seed",
 }
 
 
@@ -47,13 +44,8 @@ class RunConfig:
     s: float = 0.25
     eps: float | None = None
     eps_list: list[float] = field(default_factory=list)
-    model: str = "power"
     p: float = 3.0
-    path_points: int = 21
     grad_tol: float | None = None
-    max_outer: int = 20000
-    descent_step: float = 0.5
-    n_max: int = 12
     seed: int = 0
     config_sha256: str = ""
 
@@ -87,18 +79,12 @@ class RunConfig:
     def nonlinearity(self):
         from .problem import power_nonlinearity
 
-        if self.model != "power":
-            raise ConfigError(
-                f"nonlinearity.model '{self.model}' has no CLI constructor; "
-                "table models are built through the library API"
-            )
         return power_nonlinearity(self.p)
 
     def mpa_config(self):
         from .mountain_pass import MPAConfig
 
-        return MPAConfig(path_points=self.path_points, grad_tol=self.grad_tol,
-                         max_outer=self.max_outer, descent_step=self.descent_step)
+        return MPAConfig(grad_tol=self.grad_tol)
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -146,7 +132,6 @@ def parse_config(text: str) -> RunConfig:
                       ("domain.ax", "ax"), ("domain.bx", "bx"),
                       ("domain.ay", "ay"), ("domain.by", "by"),
                       ("domain.h", "h"), ("s", "s"),
-                      ("solver.descent_step", "descent_step"),
                       ("nonlinearity.p", "p")):
         if key in pairs:
             setattr(cfg, attr, _parse_float(key, pairs[key]))
@@ -161,13 +146,8 @@ def parse_config(text: str) -> RunConfig:
         cfg.eps_list = [_parse_float("eps_list", x) for x in items]
     if "solver.grad_tol" in pairs and pairs["solver.grad_tol"].lower() != "auto":
         cfg.grad_tol = _parse_float("solver.grad_tol", pairs["solver.grad_tol"])
-    for key, attr in (("solver.path_points", "path_points"),
-                      ("solver.max_outer", "max_outer"),
-                      ("moser.n_max", "n_max"), ("seed", "seed")):
-        if key in pairs:
-            setattr(cfg, attr, _parse_int(key, pairs[key]))
-    if "nonlinearity.model" in pairs:
-        cfg.model = pairs["nonlinearity.model"]
+    if "seed" in pairs:
+        cfg.seed = _parse_int("seed", pairs["seed"])
 
     _validate(cfg)
     return cfg
@@ -197,21 +177,15 @@ def _validate(cfg: RunConfig) -> None:
     from .operators import critical_exponent
 
     two_star = critical_exponent(cfg.dim, cfg.s)
-    if cfg.model == "power" and not (2.0 < cfg.p < two_star):
+    if not 2.0 < cfg.p < two_star:
         raise ConfigError(
             f"nonlinearity.p must lie in (2, 2*_s) = (2, {two_star:.6g}), got {cfg.p}"
         )
     for value in ([cfg.eps] if cfg.eps is not None else []) + cfg.eps_list:
         if value <= 0.0:
             raise ConfigError(f"eps values must be positive, got {value}")
-    if cfg.path_points < 8:
-        raise ConfigError(f"solver.path_points must be >= 8, got {cfg.path_points}")
     if cfg.grad_tol is not None and cfg.grad_tol <= 0.0:
         raise ConfigError(f"solver.grad_tol must be positive, got {cfg.grad_tol}")
-    if cfg.max_outer < 1:
-        raise ConfigError(f"solver.max_outer must be >= 1, got {cfg.max_outer}")
-    if cfg.n_max < 1:
-        raise ConfigError(f"moser.n_max must be >= 1, got {cfg.n_max}")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -14,9 +14,10 @@ near a saddle.
 Certificates attached to a solve:
   * level positivity against the explicit sphere bound
     ``delta = rho^2 (a - A rho^(p-2))`` with ``a = 1/2 - eta`` and
-    ``A = S^2 eps^(-2s)`` from the zero-mean regional Sobolev constant
-    (:func:`~fracneumann.operators.estimate_sobolev_constant`, the default
-    and what the sweep passes);
+    ``A = S^2 eps^(-2s)``, where ``S`` is the constant of the scaled embedding
+    ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``
+    (:func:`~fracneumann.operators.estimate_embedding_constant`, the default
+    and what the sweep passes; the Moser chain checks use the same ``S``);
   * nonnegativity via the energy of the negative part;
   * non-constancy via the ratio of the level to the best constant-solution
     energy.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (bilinear_form, estimate_sobolev_constant,
+from .operators import (bilinear_form, estimate_embedding_constant,
                         _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
@@ -56,28 +57,23 @@ SEGMENT_SAMPLES = 7
 FLOW_STALL_WINDOW = 30
 FLOW_MAX_SWEEPS = 2000
 NEWTON_MAX_STEPS = 200
+PATH_POINTS = 21
+DESCENT_STEP = 0.5
 
 
 @dataclass(frozen=True)
 class MPAConfig:
-    """Knobs of the path-deformation solver.
+    """Tolerance of the path-deformation solver.
 
     ``grad_tol=None`` resolves to ``1e-8`` times the sup norm of the energy
     gradient at the path endpoint (the problem scale).
     """
 
-    path_points: int = 21
     grad_tol: float | None = None
-    max_outer: int = 20000
-    descent_step: float = 0.5
 
     def __post_init__(self):
-        if self.path_points < 8:
-            raise ValueError(f"need path_points >= 8, got {self.path_points}")
         if self.grad_tol is not None and self.grad_tol <= 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
 
 
 @dataclass
@@ -116,8 +112,9 @@ def endpoint(spec: ProblemSpec, phi: np.ndarray,
     return e
 
 
-def _sphere_bound(spec: ProblemSpec, sobolev_constant: float) -> tuple[float, float]:
-    """(rho, delta): radius and energy floor of the mountain-pass sphere.
+def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
+    """(rho, delta): radius and energy floor of the mountain-pass sphere, for
+    the constant ``S = embedding`` of ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``.
 
     rho is taken at half the zero of ``a - A rho^(p-2)`` so delta stays
     strictly positive.
@@ -126,7 +123,7 @@ def _sphere_bound(spec: ProblemSpec, sobolev_constant: float) -> tuple[float, fl
     a = 0.5 - nl.eta
     if a <= 0.0:
         raise ValueError("growth-bound eta must be below 1/2 for the sphere bound")
-    big_a = sobolev_constant**2 * spec.eps ** (-2.0 * spec.s)
+    big_a = embedding**2 * spec.eps ** (-2.0 * spec.s)
     rho = 0.5 * (a / big_a) ** (1.0 / (nl.p - 2.0))
     delta = rho**2 * (a - big_a * rho ** (nl.p - 2.0))
     return rho, delta
@@ -320,12 +317,18 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
                         sobolev_constant: float | None = None) -> SolveReport:
     """Deform the segment path from 0 to ``e`` onto a critical point.
 
-    Phase one flows every interior path point downhill with per-point
-    backtracking line searches, resampling the path uniformly after each
-    sweep and recording the incumbent (best) sampled path maximum, which is
-    nonincreasing by construction.  Phase two applies the damped Newton
-    endgame to the incumbent crest until its weak residual falls below the
-    gradient tolerance.
+    Phase one flows the interior points of a ``PATH_POINTS``-point path
+    downhill with per-point backtracking line searches from ``DESCENT_STEP``,
+    resampling the path uniformly after each sweep and recording the
+    incumbent (best) sampled path maximum, which is nonincreasing by
+    construction; it stops after ``FLOW_STALL_WINDOW`` sweeps without a new
+    incumbent or at ``FLOW_MAX_SWEEPS``.  Phase two applies at most
+    ``NEWTON_MAX_STEPS`` damped Newton steps to the incumbent crest until its
+    weak residual falls below the gradient tolerance.
+
+    ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound;
+    ``None`` estimates it with
+    :func:`~fracneumann.operators.estimate_embedding_constant`.
     """
     op = spec.op
     if e.shape != (op.n_total,):
@@ -334,7 +337,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
-    s_const = (estimate_sobolev_constant(op) if sobolev_constant is None
+    s_const = (estimate_embedding_constant(op) if sobolev_constant is None
                else float(sobolev_constant))
     rho, delta = _sphere_bound(spec, s_const)
     e_norm = bilinear_form(op, e, e) ** 0.5
@@ -347,18 +350,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     if grad_tol is None:
         grad_tol = 1e-8 * float(np.max(np.abs(energy_gradient(spec, e))))
 
-    P0 = cfg.path_points
-    state = _PathState(spec, np.linspace(0.0, 1.0, P0)[:, None] * e[None, :])
+    state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
 
     incumbent = np.inf
-    crest_pt = state.path[P0 // 2].copy()
+    crest_pt = state.path[PATH_POINTS // 2].copy()
     hist = []
-    steps = np.full(P0 - 2, cfg.descent_step)
+    steps = np.full(PATH_POINTS - 2, DESCENT_STEP)
     stall = 0
-    flow_budget = max(1, min(cfg.max_outer - 1, FLOW_MAX_SWEEPS))
-    flow_iters = 0
-    for _ in range(flow_budget):
-        flow_iters += 1
+    for flow_iters in range(1, FLOW_MAX_SWEEPS + 1):
         val, pt = state.crest()
         if val < incumbent:
             incumbent, crest_pt = val, pt
@@ -369,10 +368,9 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         if stall >= FLOW_STALL_WINDOW:
             break
         state.flow_step(steps)
-        state.resample(P0)
+        state.resample(PATH_POINTS)
 
-    newton_budget = min(NEWTON_MAX_STEPS, cfg.max_outer - flow_iters)
-    u, newton_iters = _newton_polish(spec, crest_pt, grad_tol, newton_budget)
+    u, newton_iters = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
     iterations = flow_iters + newton_iters
 
     level = energy(spec, u)

@@ -27,7 +27,6 @@ from .operators import (
     check_integration_by_parts,
     divergence_scale,
     estimate_embedding_constant,
-    estimate_sobolev_constant,
     exterior_extension,
     frac_laplacian,
     ibp_scale,
@@ -53,17 +52,15 @@ IDENTITY_TOL = 1e-12
 N_IDENTITY_FUNCTIONS = 100
 
 
-def _scaled_mesh_pair(cfg: RunConfig, eps: float):
-    """Mesh and its eps-dilated companion for the dilation identity."""
-    base = cfg.build_mesh()
+def _scaled_mesh(cfg: RunConfig, eps: float):
+    """The eps-dilated companion of the configured mesh, for the dilation
+    identity."""
     r = cfg.resolved_r_ext()
     if cfg.domain_kind == "interval":
-        scaled = build_interval_mesh(cfg.a / eps, cfg.b / eps, cfg.h / eps, r / eps)
-    else:
-        scaled = build_box_mesh(((cfg.ax / eps, cfg.bx / eps),
-                                 (cfg.ay / eps, cfg.by / eps)),
-                                cfg.h / eps, r / eps)
-    return base, scaled
+        return build_interval_mesh(cfg.a / eps, cfg.b / eps, cfg.h / eps, r / eps)
+    return build_box_mesh(((cfg.ax / eps, cfg.bx / eps),
+                           (cfg.ay / eps, cfg.by / eps)),
+                          cfg.h / eps, r / eps)
 
 
 def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
@@ -122,12 +119,11 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
         worst = max(worst, float(np.max(np.abs(neumann_derivative(op, ext)))))
     record("extension_zero_flux", worst, IDENTITY_TOL)
 
-    base, scaled = _scaled_mesh_pair(cfg, eps)
     if mesh.dim == 1:
         probe = lambda x: np.cos(np.pi * x[:, 0])
     else:
         probe = lambda x: np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
-    resid = verify_scaling_identity(base, scaled, cfg.s, eps, probe)
+    resid = verify_scaling_identity(mesh, _scaled_mesh(cfg, eps), cfg.s, eps, probe)
     record("dilation_identity_relative", resid, 5.0 * cfg.h)
 
     all_pass = all(c["pass"] for c in checks)
@@ -167,7 +163,6 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     mpa = cfg.mpa_config()
     # The weights do not depend on eps: assemble once, rescale per eps.
     base = assemble(mesh, cfg.s, cfg.eps_list[0])
-    sobolev = estimate_sobolev_constant(base)
     rows, tent_rows = [], []
     specs, reports, tents = [], [], []
 
@@ -176,7 +171,8 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
         phi = phi_eps(mesh, eps)
         tent = thresholds(spec, phi)
         e = endpoint(spec, phi, tent)
-        report = mountain_pass_solve(spec, e, mpa, sobolev_constant=sobolev)
+        report = mountain_pass_solve(
+            spec, e, mpa, sobolev_constant=estimate_embedding_constant(spec.op))
 
         specs.append(spec)
         reports.append(report)
@@ -260,7 +256,7 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     op = assemble(mesh, cfg.s, eps)
     spec = ProblemSpec(mesh, op, cfg.nonlinearity())
 
-    ladder = norm_ladder(spec, u, n_max=cfg.n_max)
+    ladder = norm_ladder(spec, u)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-8
     embedding = estimate_embedding_constant(op)
     umax = float(np.max(np.abs(u))) if u.size else 0.0

@@ -45,7 +45,7 @@ def solved_problem():
     e = fn.endpoint(spec, phi, tent)
     sobolev = fn.estimate_sobolev_constant(op)
     embedding = fn.estimate_embedding_constant(op)
-    cfg = fn.MPAConfig(grad_tol=1e-9, max_outer=20000)
+    cfg = fn.MPAConfig(grad_tol=1e-9)
     report = fn.mountain_pass_solve(spec, e, cfg, sobolev_constant=sobolev)
     assert report.converged
     return {"spec": spec, "report": report, "tent": tent, "phi": phi,

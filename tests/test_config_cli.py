@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracneumann as fn
+from fracneumann import operators, runners
 from fracneumann.cli import main
-from fracneumann.config import ConfigError, parse_config
+from fracneumann.config import ConfigError, load_config, parse_config
+from fracneumann.mountain_pass import _sphere_bound
 from fracneumann.reports import read_solution, write_solution
 from fracneumann.runners import run_identity_suite, run_moser_check, run_scaling_sweep
 
@@ -18,12 +21,12 @@ domain.r_ext = 2.0
 s = 0.25
 eps = 0.2
 eps_list = 0.3, 0.15
-nonlinearity.model = power
 nonlinearity.p = 3.0
 solver.grad_tol = 1e-8
-moser.n_max = 12
 seed = 0
 """
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 @pytest.fixture()
@@ -44,10 +47,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("domain.radius = 3\n")
 
-    @pytest.mark.parametrize("key", ["solver.seed", "solver.jitter"])
-    def test_no_initial_path_perturbation_keys(self, key):
+    @pytest.mark.parametrize("key", ["solver.seed", "solver.jitter",
+                                     "solver.path_points", "solver.descent_step",
+                                     "solver.max_outer", "nonlinearity.model",
+                                     "moser.n_max"])
+    def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{key} = 1\n")
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_builds_its_mesh(self, path):
+        cfg = load_config(path)
+        mesh = cfg.build_mesh()
+        assert mesh.dim == cfg.dim
+        assert mesh.n_interior > 0 and mesh.n_exterior > 0
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -122,6 +135,19 @@ class TestIdentitySuite:
         assert "gauss_identity_relative" in failed or \
             "green_identity_relative" in failed
 
+    def test_assembles_once(self, tmp_path, monkeypatch):
+        calls = []
+        assemble = operators.assemble
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "assemble", counted)
+        monkeypatch.setattr(runners, "assemble", counted)
+        assert run_identity_suite(parse_config(QUICK_SWEEP), tmp_path)
+        assert len(calls) == 1
+
 
 class TestSweepRunner:
     def test_quick_sweep(self, tmp_path):
@@ -151,6 +177,12 @@ class TestSweepRunner:
         assert [sp.eps for sp in result.specs] == cfg.eps_list
         assert all(sp.op.weights is result.specs[0].op.weights
                    for sp in result.specs)
+
+    def test_sphere_bound_uses_the_embedding_constant(self, tmp_path):
+        result = run_scaling_sweep(parse_config(QUICK_SWEEP), tmp_path)
+        for spec, rep in zip(result.specs, result.reports):
+            want = _sphere_bound(spec, fn.estimate_embedding_constant(spec.op))[1]
+            assert rep.delta == want
 
     def test_missing_eps_list(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP.replace("eps_list = 0.3, 0.15\n", ""))
