@@ -25,6 +25,7 @@ Certificates attached to a solve:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,7 +264,6 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
     op = spec.op
     ni = spec.mesh.n_interior
     scale = spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
-    w_ie = op.weights[:ni, ni:]
     d_e = op.row_sums[ni:]
 
     # the diagonal takes the full row sums, as the gradient's apply does
@@ -281,8 +281,8 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
         diag[:] = kernel_diag + (1.0 - fprime_eval(spec.nonlinearity, u[:ni]))
         ge = g[ni:] / d_e
         try:
-            dx_i = np.linalg.solve(hess, -g[:ni] - w_ie @ ge)
-            dx = np.concatenate([dx_i, (dx_i @ w_ie) / d_e - ge / scale])
+            dx_i = np.linalg.solve(hess, -g[:ni] - op.w_ie @ ge)
+            dx = np.concatenate([dx_i, (dx_i @ op.w_ie) / d_e - ge / scale])
         except np.linalg.LinAlgError:
             dx = -g
         accepted = False
@@ -342,7 +342,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     rho, delta = _sphere_bound(spec, s_const)
     e_norm = bilinear_form(op, e, e) ** 0.5
     if e_norm <= rho:
-        raise ValueError(
+        raise RuntimeError(
             f"endpoint norm {e_norm:.6g} does not clear the sphere radius {rho:.6g}"
         )
 
@@ -369,6 +369,10 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
             break
         state.flow_step(steps)
         state.resample(PATH_POINTS)
+    else:
+        warnings.warn(f"path flow hit the iteration cap of {FLOW_MAX_SWEEPS}; "
+                      "polishing the incumbent crest", RuntimeWarning,
+                      stacklevel=2)
 
     u, newton_iters = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
     iterations = flow_iters + newton_iters
@@ -432,9 +436,13 @@ def apriori_norm_certificate(specs, reports) -> bool:
     """Uniform norm bound across a sweep, with a single fitted constant.
 
     Checks per solution that ``||u||^2 = integral f(u) u`` holds within
-    ``10 * grad_tol * scale``, fits ``K0 = C_fit / (1/2 - 1/theta)`` with
-    ``C_fit`` the largest ``level / eps**dim`` over the sweep, and verifies
-    ``||u||^2 <= K0 eps**dim`` for every entry.
+    ``10 * grad_tol * scale``, fits ``K0 = factor * C_fit`` with
+    ``factor = 1 / (1/2 - 1/theta)`` and ``C_fit`` the largest
+    ``level / eps**dim`` over the sweep, and verifies
+    ``||u||^2 <= K0 eps**dim + (factor/theta) resid`` for every entry, with
+    ``resid`` the residual of that identity.  ``theta F <= t f`` gives
+    ``||u||^2 <= factor level + (factor/theta) resid``, so the entry with
+    the largest level ratio meets the bound with equality up to that slack.
 
     Accepts a single (spec, report) pair or parallel sequences.
     """
@@ -450,6 +458,7 @@ def apriori_norm_certificate(specs, reports) -> bool:
         resid, scale = euler_identity_residual(sp, rep.u)
         if resid > 10.0 * rep.grad_tol * max(scale, 1.0):
             return False
-        if rep.norm_sq > k0 * sp.eps**sp.dim * (1.0 + 1e-9):
+        if rep.norm_sq > (k0 * sp.eps**sp.dim * (1.0 + 1e-9)
+                          + factor / theta * resid):
             return False
     return True

@@ -1,4 +1,4 @@
-"""Dense assembly of the singular-kernel weights and the operators built on them.
+"""Assembly of the singular-kernel weights and the operators built on them.
 
 A single symmetric weight set
 
@@ -28,7 +28,7 @@ floating point, not merely to roundoff.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -51,7 +51,7 @@ __all__ = [
     "verify_scaling_identity",
 ]
 
-DENSE_NODE_BUDGET = 3000
+DENSE_ENTRY_BUDGET = 3000**2
 
 
 def normalization_constant(dim: int, s: float) -> float:
@@ -75,16 +75,17 @@ class FormOperator:
         s: fractional order in (0, 1).
         eps: scale parameter of the energy form (weights do not depend on it).
         c_ns: kernel normalisation constant.
-        weights: dense symmetric (n, n) pair-weight matrix, zero diagonal and
-            zero exterior-exterior block.
-        row_sums: ``weights @ 1``, cached for Laplacian-style applications.
+        w_ii, w_ie: the interior-interior and interior-collar weight blocks
+            (``W_ei = W_ie^T``; the collar-collar block is zero, not stored).
+        row_sums: full-mesh row sums, cached for Laplacian-style applications.
     """
 
     mesh: DomainMesh
     s: float
     eps: float
     c_ns: float
-    weights: np.ndarray
+    w_ii: np.ndarray
+    w_ie: np.ndarray
     row_sums: np.ndarray
 
     @property
@@ -99,12 +100,11 @@ class FormOperator:
         """Same weights, different energy scale (weights are eps-independent)."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        return FormOperator(self.mesh, self.s, float(eps), self.c_ns,
-                            self.weights, self.row_sums)
+        return replace(self, eps=float(eps))
 
 
 def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
-    """Build the dense weight matrix for ``mesh`` at order ``s``.
+    """Build the weight blocks for ``mesh`` at order ``s``.
 
     Requires ``0 < s < 1`` and ``dim > 2 s`` (so the critical exponent
     ``2 dim / (dim - 2 s)`` is finite).  Deterministic for fixed inputs.
@@ -117,34 +117,36 @@ def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
         )
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    n = mesh.n_total
-    if n > DENSE_NODE_BUDGET:
+    entries = mesh.n_interior * mesh.n_total
+    if entries > DENSE_ENTRY_BUDGET:
         warnings.warn(
-            f"mesh has {n} nodes; dense assembly beyond {DENSE_NODE_BUDGET} "
+            f"operator stores {entries} weights; beyond {DENSE_ENTRY_BUDGET} "
             "is outside the intended desk scale",
             RuntimeWarning,
             stacklevel=2,
         )
-    w = _pair_weights(mesh.nodes, s, mesh.cell_volume)
-    ni = mesh.n_interior
-    w[ni:, ni:] = 0.0  # no exterior-exterior interaction
+    xi, vol = mesh.interior_nodes, mesh.cell_volume
+    w_ii = _pair_weights(xi, xi, s, vol)
+    w_ie = _pair_weights(xi, mesh.exterior_nodes, s, vol)
     return FormOperator(
         mesh=mesh, s=float(s), eps=float(eps),
-        c_ns=normalization_constant(mesh.dim, s),
-        weights=w, row_sums=w @ np.ones(n),
+        c_ns=normalization_constant(mesh.dim, s), w_ii=w_ii, w_ie=w_ie,
+        row_sums=np.concatenate([w_ii.sum(1) + w_ie.sum(1), w_ie.sum(0)]),
     )
 
 
-def _pair_weights(x: np.ndarray, s: float, vol: float) -> np.ndarray:
-    """``c_ns vol^2 / |x_i - x_j|^(dim+2s)`` between all points ``x`` (one
-    per row), zero on the diagonal."""
+def _pair_weights(x: np.ndarray, y: np.ndarray, s: float,
+                  vol: float) -> np.ndarray:
+    """``c_ns vol^2 / |x_i - y_j|^(dim+2s)`` between the points ``x`` and
+    ``y`` (one per row), zero for coincident points."""
     dim = x.shape[1]
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)  # placeholder, diagonal zeroed below
-    c = normalization_constant(dim, s)
-    w = (c * vol * vol) * r2 ** (-(dim + 2.0 * s) / 2.0)
-    np.fill_diagonal(w, 0.0)
+    r2 = np.zeros((len(x), len(y)))
+    for k in range(dim):  # one coordinate at a time: no (n, m, dim) tensor
+        d = np.subtract.outer(x[:, k], y[:, k])
+        r2 += np.multiply(d, d, out=d)
+    r2[r2 == 0.0] = np.inf  # zero self-weight
+    w = np.power(r2, -(dim + 2.0 * s) / 2.0, out=r2)
+    w *= normalization_constant(dim, s) * vol * vol
     return w
 
 
@@ -170,16 +172,21 @@ def _centered(u: np.ndarray) -> np.ndarray:
 
 def _laplacian(weights: np.ndarray, row_sums: np.ndarray,
                u: np.ndarray) -> np.ndarray:
-    """(L u)_i = sum_j w_ij (u_i - u_j) for one grid function or each row of
-    a stack, on centered values.  ``weights`` is symmetric; a stack takes
-    ``uc @ weights``, a much faster BLAS call than ``(weights @ uc.T).T``."""
+    """(L u)_i = sum_j w_ij (u_i - u_j) for one grid function, on centered
+    values."""
     uc = _centered(u)
-    return row_sums * uc - (weights @ uc if uc.ndim == 1 else uc @ weights)
+    return row_sums * uc - weights @ uc
 
 
 def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
-    """Full-mesh kernel application, the one shared by every operator."""
-    return _laplacian(op.weights, op.row_sums, u)
+    """Full-mesh kernel application, the one shared by every operator:
+    ``row_sums u - [W_ii u_i + W_ie u_e, W_ie^T u_i]`` on centered values,
+    for one grid function or each row of a stack."""
+    uc = _centered(u)
+    ni = op.n_interior
+    ui, ue = uc[..., :ni], uc[..., ni:]
+    wu = np.concatenate([ui @ op.w_ii + ue @ op.w_ie.T, ui @ op.w_ie], axis=-1)
+    return op.row_sums * uc - wu
 
 
 def _flux(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -201,7 +208,7 @@ def neumann_derivative(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Nonlocal normal derivative at the collar nodes.
 
     ``c_ns * sum_{j interior} vol_j (u_k - u_j) / |x_k - x_j|**(dim+2s)``;
-    exterior rows of the weight matrix only couple to interior nodes.
+    collar nodes only couple to interior nodes.
     """
     return _flux(op, _check_size(op, u))[op.n_interior:]
 
@@ -221,9 +228,7 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
             f"size mismatch: expected {ni} interior values, got {u_int.shape}"
         )
     c0 = u_int.mean()
-    w_ext = op.weights[ni:, :ni]
-    d_ext = op.row_sums[ni:]
-    u_ext = c0 + (w_ext @ (u_int - c0)) / d_ext
+    u_ext = c0 + ((u_int - c0) @ op.w_ie) / op.row_sums[ni:]
     np.clip(u_ext, u_int.min(), u_int.max(), out=u_ext)
     return np.concatenate([u_int, u_ext])
 
@@ -299,25 +304,18 @@ def divergence_scale(op: FormOperator, u: np.ndarray) -> float:
     return vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:]))
 
 
-def _regional_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-interior weight block and its row sums (regional seminorm)."""
-    ni = op.n_interior
-    w = op.weights[:ni, :ni]
-    return w, w @ np.ones(ni)
-
-
 def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     """Interior weights ``W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
     form over collar values (the zero-flux extension; the collar block is
     diagonal), and its row sums, which equal ``op.row_sums[:ni]``."""
     ni = op.n_interior
-    b = op.weights[:ni, ni:] / np.sqrt(op.row_sums[ni:])
-    m = op.weights[:ni, :ni] + b @ b.T
+    b = op.w_ie / np.sqrt(op.row_sums[ni:])
+    m = op.w_ii + b @ b.T
     return m, m @ np.ones(ni)
 
 
 def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
-    """``(1/2) sum_ij w_ij (u_i - u_j)^2`` over a :func:`_regional_matrix`."""
+    """``(1/2) sum_ij w_ij (u_i - u_j)^2`` for weights ``w``, row sums ``d``."""
     return float(_centered(u) @ _laplacian(w, d, u))
 
 
@@ -375,7 +373,7 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     iterate's quotient is returned.
     """
     q = critical_exponent(op.mesh.dim, op.s)
-    w, d = _regional_matrix(op)
+    w, d = op.w_ii, op.w_ii @ np.ones(op.n_interior)
     vol = op.mesh.cell_volume
 
     def norm(v: np.ndarray) -> float:
@@ -461,7 +459,7 @@ def verify_scaling_identity(mesh: DomainMesh, mesh_scaled: DomainMesh,
     interior weights of each mesh are built.
     """
     def regional(m: DomainMesh) -> tuple[np.ndarray, np.ndarray]:
-        w = _pair_weights(m.interior_nodes, s, m.cell_volume)
+        w = _pair_weights(m.interior_nodes, m.interior_nodes, s, m.cell_volume)
         return w, w @ np.ones(m.n_interior)
 
     u1 = np.asarray(u(mesh.interior_nodes), dtype=float)

@@ -77,7 +77,7 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
     mesh = cfg.build_mesh()
     op = assemble(mesh, cfg.s, eps)
     if corrupt_weight:
-        op.weights[0, 1] *= 1.5  # asymmetric: Gauss and Green must now fail
+        op.w_ii[0, 1] *= 1.5  # asymmetric: Gauss and Green must now fail
 
     rng = np.random.default_rng(cfg.seed)
     checks = []

@@ -52,6 +52,19 @@ def solved_problem():
             "endpoint": e, "sobolev": sobolev, "embedding": embedding}
 
 
+def dense_weights(op):
+    """The full-mesh weight matrix of ``op`` rebuilt from its nodes with the
+    pairwise formula ``c_ns vol^2 / |x_i - x_j|^(dim+2s)``, zero on the
+    diagonal and on the collar-collar block."""
+    x = op.mesh.nodes
+    r = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    np.fill_diagonal(r, np.inf)
+    w = op.c_ns * op.mesh.cell_volume**2 * r ** -(op.mesh.dim + 2.0 * op.s)
+    ni = op.n_interior
+    w[ni:, ni:] = 0.0
+    return w
+
+
 def random_grid_function(mesh, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(mesh.n_total)

@@ -171,11 +171,21 @@ class TestSweepRunner:
             other = tmp_path / "b" / f.name
             assert f.read_bytes() == other.read_bytes(), f.name
 
+    def test_auto_tolerance_sweep_certifies(self, tmp_path):
+        # the a-priori bound allows the Euler residual the auto tolerance
+        # accepts
+        cfg = parse_config(QUICK_SWEEP.replace("solver.grad_tol = 1e-8\n", ""))
+        assert cfg.grad_tol is None
+        result = run_scaling_sweep(cfg, tmp_path)
+        assert result.all_converged
+        assert result.summary["apriori_norm_ok"] and result.certificates_ok
+
     def test_weights_assembled_once(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP)
         result = run_scaling_sweep(cfg, tmp_path)
         assert [sp.eps for sp in result.specs] == cfg.eps_list
-        assert all(sp.op.weights is result.specs[0].op.weights
+        first = result.specs[0].op
+        assert all(sp.op.w_ii is first.w_ii and sp.op.w_ie is first.w_ie
                    for sp in result.specs)
 
     def test_sphere_bound_uses_the_embedding_constant(self, tmp_path):

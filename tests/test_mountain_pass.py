@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
+from fracneumann import mountain_pass
 from fracneumann.mountain_pass import (NEWTON_MAX_STEPS, _newton_polish,
                                        _PathState, _sphere_bound)
 from fracneumann.problem import fprime_eval
 
-from conftest import energy_scale, small_problems
+from conftest import dense_weights, energy_scale, small_problems
 
 
 class TestEndpoint:
@@ -93,6 +94,20 @@ class TestSolve:
         with pytest.raises(ValueError, match="grad_tol"):
             fn.MPAConfig(grad_tol=-1.0)
 
+    def test_sphere_radius_failure_is_numerical(self, solved_problem):
+        # rho ~ 5e10 against an endpoint norm ~ 10: a failed certificate
+        spec, e = solved_problem["spec"], solved_problem["endpoint"]
+        with pytest.raises(RuntimeError, match="sphere radius"):
+            fn.mountain_pass_solve(spec, e, fn.MPAConfig(), sobolev_constant=1e-6)
+
+    def test_flow_warns_at_its_cap(self, solved_problem, monkeypatch):
+        monkeypatch.setattr(mountain_pass, "FLOW_MAX_SWEEPS", 3)
+        spec, e = solved_problem["spec"], solved_problem["endpoint"]
+        with pytest.warns(RuntimeWarning, match="path flow hit the iteration cap of 3"):
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
+                                         sobolev_constant=solved_problem["sobolev"])
+        assert len(rep.max_energy_history) == 3
+
     def test_auto_tolerance_scales_with_endpoint(self, solved_problem):
         spec = solved_problem["spec"]
         e = solved_problem["endpoint"]
@@ -109,7 +124,7 @@ def _full_hessian_newton(spec, u0, grad_tol, max_iter):
     op = spec.op
     ni = spec.mesh.n_interior
     kernel = (spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
-              * (np.diag(op.row_sums) - op.weights))
+              * (np.diag(op.row_sums) - dense_weights(op)))
     u = u0.copy()
     g = fn.energy_gradient(spec, u)
     res = float(np.max(np.abs(g)))

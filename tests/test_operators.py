@@ -1,4 +1,7 @@
+import dataclasses
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,12 @@ from scipy.integrate import quad
 
 import fracneumann as fn
 from fracneumann import operators
+from fracneumann.config import load_config
 from fracneumann.operators import (_graph_laplacian_apply, _reduced_matrix,
                                    _regional_seminorm, divergence_scale,
                                    ibp_scale)
 
-from conftest import random_grid_function, small_operators
+from conftest import dense_weights, random_grid_function, small_operators
 
 
 def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
@@ -33,16 +37,49 @@ def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
 
 
 class TestAssembly:
-    def test_weights_positive_and_symmetric(self, op_1d, mesh_1d):
-        ni = mesh_1d.n_interior
-        w_int = op_1d.weights[:ni, :ni]
-        off_diag = w_int[~np.eye(ni, dtype=bool)]
-        assert np.all(off_diag > 0.0)
-        assert np.array_equal(op_1d.weights, op_1d.weights.T)
+    def test_weights_positive_and_symmetric(self, op_1d, op_2d):
+        for op in (op_1d, op_2d):
+            ni = op.n_interior
+            off_diag = op.w_ii[~np.eye(ni, dtype=bool)]
+            assert np.all(off_diag > 0.0) and np.all(np.diag(op.w_ii) == 0.0)
+            assert np.all(op.w_ie > 0.0)
+            assert np.array_equal(op.w_ii, op.w_ii.T)
+            dense = dense_weights(op)
+            assert np.allclose(op.w_ii, dense[:ni, :ni], rtol=1e-14, atol=0.0)
+            assert np.allclose(op.w_ie, dense[:ni, ni:], rtol=1e-14, atol=0.0)
+            assert np.allclose(op.row_sums, dense.sum(axis=1), rtol=1e-13,
+                               atol=0.0)
 
-    def test_no_exterior_exterior_weights(self, op_1d, mesh_1d):
-        ni = mesh_1d.n_interior
-        assert np.all(op_1d.weights[ni:, ni:] == 0.0)
+    def test_no_exterior_exterior_weights(self, op_1d, op_2d):
+        # the collar-collar block cannot be stored: no array on the operator
+        # is larger than the interior rows of the full matrix
+        for op in (op_1d, op_2d):
+            arrays = [getattr(op, f.name) for f in dataclasses.fields(op)]
+            sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
+            assert len(sizes) == 3
+            assert max(sizes) <= op.n_interior * op.n_total
+
+    def test_assembly_never_forms_the_full_matrix(self):
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "configs" / "reference_1d.cfg")
+        mesh = cfg.build_mesh()
+        tracemalloc.start()
+        try:
+            fn.assemble(mesh, cfg.s, cfg.first_eps())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mesh.n_total**2 * 8
+
+    def test_budget_counts_stored_entries(self, mesh_1d, monkeypatch):
+        entries = mesh_1d.n_interior * mesh_1d.n_total
+        monkeypatch.setattr(operators, "DENSE_ENTRY_BUDGET", entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn.assemble(mesh_1d, 0.25, 1.0)
+        monkeypatch.setattr(operators, "DENSE_ENTRY_BUDGET", entries - 1)
+        with pytest.warns(RuntimeWarning, match=f"stores {entries} weights"):
+            fn.assemble(mesh_1d, 0.25, 1.0)
 
     def test_bad_order_rejected(self, mesh_1d):
         with pytest.raises(ValueError, match="0 < s < 1"):
@@ -55,11 +92,11 @@ class TestAssembly:
     def test_deterministic(self, mesh_1d):
         a = fn.assemble(mesh_1d, 0.25, 0.7)
         b = fn.assemble(mesh_1d, 0.25, 0.7)
-        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.w_ii, b.w_ii) and np.array_equal(a.w_ie, b.w_ie)
 
     def test_with_eps_shares_weights(self, op_1d):
         other = op_1d.with_eps(0.05)
-        assert other.weights is op_1d.weights
+        assert other.w_ii is op_1d.w_ii and other.w_ie is op_1d.w_ie
         assert other.eps == 0.05
         with pytest.raises(ValueError, match="positive"):
             op_1d.with_eps(-1.0)
@@ -77,8 +114,9 @@ class TestSharedApply:
         batched = _graph_laplacian_apply(op, rows)
         rowwise = np.array([_graph_laplacian_apply(op, u) for u in rows])
         diff = rows[:, :, None] - rows[:, None, :]
-        pairwise = np.einsum("ij,kij->ki", op.weights, diff)
-        scale = np.einsum("ij,kij->ki", op.weights, np.abs(diff))
+        w = dense_weights(op)
+        pairwise = np.einsum("ij,kij->ki", w, diff)
+        scale = np.einsum("ij,kij->ki", w, np.abs(diff))
         tol = 1e-12 * scale.max(axis=1, keepdims=True)
         assert batched.shape == rows.shape
         assert np.all(np.abs(batched - rowwise) <= tol)
@@ -242,7 +280,7 @@ class TestIdentities:
         # kernel is exactly the constants (small mesh only).
         mesh = fn.build_interval_mesh(-1.0, 1.0, 0.2, 2.0)
         op = fn.assemble(mesh, 0.25, 1.0)
-        lap = np.diag(op.row_sums) - op.weights
+        lap = np.diag(op.row_sums) - dense_weights(op)
         eigs = np.linalg.eigvalsh(lap)
         assert abs(eigs[0]) < 1e-12
         assert eigs[1] > 1e-8
