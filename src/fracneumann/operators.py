@@ -27,11 +27,11 @@ floating point, not merely to roundoff.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .mesh import DomainMesh
 
@@ -56,9 +56,8 @@ DENSE_ENTRY_BUDGET = 3000**2
 
 def normalization_constant(dim: int, s: float) -> float:
     """Principal-value normalisation of the fractional Laplacian of order s."""
-    return float(
-        4.0**s * s * _gamma(dim / 2.0 + s) / (np.pi ** (dim / 2.0) * _gamma(1.0 - s))
-    )
+    return float(4.0**s * s * math.gamma(dim / 2.0 + s)
+                 / (np.pi ** (dim / 2.0) * math.gamma(1.0 - s)))
 
 
 def critical_exponent(dim: int, s: float) -> float:

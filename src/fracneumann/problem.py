@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .mesh import DomainMesh
 from .operators import (FormOperator, critical_exponent, seminorm_form,
@@ -126,7 +125,9 @@ def F_eval(spec: NonlinearitySpec, t):
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
     if spec.model == "power":
-        out = tp**spec.p / spec.p
+        # tp**(p-1) is a plain square for the default p = 3, where tp**p
+        # would run the general pow
+        out = tp * tp ** (spec.p - 1.0) / spec.p
     else:
         knots, vals = spec.table_t, spec.table_f
         seg = np.concatenate([[0.0], np.cumsum(np.diff(knots) * (vals[:-1] + vals[1:]) / 2.0)])
@@ -142,6 +143,20 @@ def F_eval(spec: NonlinearitySpec, t):
             tail = seg[-1] + vals[-1] * knots[-1] / spec.p * (ratio**spec.p - 1.0)
             out = np.where(beyond, tail, out)
     return out if out.ndim else float(out)
+
+
+def _bisect(g, lo: float, hi: float, tol: float) -> float:
+    """Root of g in [lo, hi], where g changes sign, halving until
+    ``hi - lo <= tol * max(1, |hi|)``.  Signs are compared, not products, so
+    values too small to multiply cannot hide the crossing."""
+    lo_positive = g(lo) > 0.0
+    while hi - lo > tol * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if (g(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -188,17 +203,13 @@ def check_hypotheses(spec: NonlinearitySpec, t_max: float = 1e8) -> HypothesisRe
     theta_ok = bool(np.all(spec.theta * F_eval(spec, ts[mask])
                            <= ts[mask] * fs[mask] * (1.0 + 1e-12) + 1e-300))
 
-    # Fixed points of f on (0, t_max]: bracket sign changes of f(t) - t.
-    g = fs - ts
-    fixed: list[float] = []
-    for i in range(len(ts) - 1):
-        if g[i] == 0.0:
-            fixed.append(float(ts[i]))
-        elif g[i] * g[i + 1] < 0.0:
-            fixed.append(float(brentq(lambda t: f_eval(spec, t) - t,
-                                      ts[i], ts[i + 1], xtol=1e-14, rtol=1e-14)))
-    if g[-1] == 0.0:
-        fixed.append(float(ts[-1]))
+    # Fixed points of f on (0, t_max]: the grid zeros of f(t) - t, and a
+    # bisection in every grid cell across which its sign changes.
+    sign = np.sign(fs - ts)
+    fixed = [float(t) for t in ts[sign == 0.0]]
+    fixed += [_bisect(lambda t: f_eval(spec, t) - t,
+                      float(ts[i]), float(ts[i + 1]), 1e-14)
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
     fixed = sorted(set(round(t, 12) for t in fixed))
 
     if not fixed:

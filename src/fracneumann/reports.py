@@ -71,10 +71,9 @@ def write_solution(path: Path, mesh: DomainMesh, values: np.ndarray,
     if eps is not None:
         lines.append(f"# eps={_fmt(eps)}")
     lines.append(f"{mesh.dim} {_fmt(mesh.h)} {mesh.n_total}")
-    coords = mesh.nodes
-    for i in range(mesh.n_total):
-        xs = " ".join(_fmt(c) for c in coords[i])
-        lines.append(f"{xs} {_fmt(values[i])}")
+    # repr of a Python float is what _fmt writes for each entry
+    rows = np.column_stack([mesh.nodes, values]).tolist()
+    lines += [" ".join(map(repr, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

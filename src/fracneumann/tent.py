@@ -11,14 +11,14 @@ certificates have something rigid to lean on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as _beta, gamma as _gamma
 
 from .mesh import DomainMesh
 from .operators import bilinear_form, seminorm_form
-from .problem import ProblemSpec, f_eval, _reaction
+from .problem import ProblemSpec, f_eval, _bisect, _reaction
 
 __all__ = [
     "unit_ball_volume",
@@ -33,8 +33,10 @@ __all__ = [
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball in ``dim`` dimensions."""
-    return float(np.pi ** (dim / 2.0) / _gamma(dim / 2.0 + 1.0))
+    """Volume of the unit ball in ``dim`` dimensions, ``2 pi^(dim/2) / (dim
+    Gamma(dim/2))``; Gamma at dim/2 rather than dim/2 + 1 makes it exactly 2
+    for dim = 1."""
+    return float(2.0 * np.pi ** (dim / 2.0) / (dim * math.gamma(dim / 2.0)))
 
 
 def phi_eps(mesh: DomainMesh, eps: float) -> np.ndarray:
@@ -67,11 +69,14 @@ def K_q(dim: int, q: float) -> float:
     """Closed form of the tent Lq mass constant.
 
     ``K_q = dim * omega_dim * integral_0^1 (1-rho)**q rho**(dim-1) drho``,
-    evaluated exactly through the Beta function ``B(dim, q+1)``.
+    evaluated through the Beta function, which for integer dim is the finite
+    product ``B(dim, q+1) = (dim-1)! / prod_{k=1..dim} (q+k)``: exact to
+    rounding for every q, where Gamma(q+1) overflows beyond q = 170.
     """
     if q <= 0.0:
         raise ValueError(f"need q > 0, got q={q}")
-    return float(dim * unit_ball_volume(dim) * _beta(dim, q + 1.0))
+    beta = math.factorial(dim - 1) / math.prod(q + k for k in range(1, dim + 1))
+    return float(dim * unit_ball_volume(dim) * beta)
 
 
 def _sigma_gap(sigma: float, dim: int) -> float:
@@ -92,21 +97,12 @@ def solve_sigma(dim: int, tol: float = 1e-12) -> float:
     """
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
-    lo, hi = 0.0, 1.0
-    flo = _sigma_gap(1e-15, dim)
-    fhi = _sigma_gap(1.0 - 1e-15, dim)
-    if not (flo > 0.0 > fhi):
+    if not (_sigma_gap(1e-15, dim) > 0.0 > _sigma_gap(1.0 - 1e-15, dim)):
         raise RuntimeError(
             "half-mass equation has no sign change on (0, 1); "
             "the tent-mass implementation is broken"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _sigma_gap(mid, dim) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda sigma: _sigma_gap(sigma, dim), 0.0, 1.0, tol)
 
 
 def g_of_t(spec: ProblemSpec, phi: np.ndarray, t):

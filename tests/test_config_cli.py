@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from fracneumann import operators, runners
 from fracneumann.cli import main
 from fracneumann.config import ConfigError, load_config, parse_config
 from fracneumann.mountain_pass import _sphere_bound
-from fracneumann.reports import read_solution, write_solution
+from fracneumann.reports import _fmt, read_solution, write_solution
 from fracneumann.runners import run_identity_suite, run_moser_check, run_scaling_sweep
 
 QUICK_SWEEP = """
@@ -260,6 +262,20 @@ class TestSolutionFiles:
         np.testing.assert_array_equal(back, values)
         np.testing.assert_allclose(coords, mesh.nodes, atol=1e-15)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        mesh = fn.build_box_mesh(((0.0, 1.0), (0.0, 0.5)), 0.125, 1.2)
+        values = np.random.default_rng(3).standard_normal(mesh.n_total) / 3.0
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, values, "cafe", eps=0.3)
+        lines = [f"# fracneumann {fn.__version__} config_sha256=cafe",
+                 "# eps=0.3", f"2 {_fmt(mesh.h)} {mesh.n_total}"]
+        lines += [" ".join(_fmt(v) for v in (*mesh.nodes[i], values[i]))
+                  for i in range(mesh.n_total)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        header, coords, back = read_solution(path, mesh)
+        np.testing.assert_array_equal(back, values)
+        np.testing.assert_array_equal(coords, mesh.nodes)
+
     def test_header_mismatch_detected(self, tmp_path):
         mesh = fn.build_interval_mesh(-1.0, 1.0, 0.1, 2.0)
         path = tmp_path / "sol.txt"
@@ -285,6 +301,15 @@ class TestCli:
         assert main(["moser", "--config", str(quick_cfg_file),
                      "--solution", str(out / "solution_eps_0.15.txt"),
                      "--out", str(tmp_path / "moser")]) == 0
+
+    def test_runtime_imports_numpy_only(self):
+        # a fresh interpreter: this test process has scipy loaded already
+        src = Path(fn.__file__).resolve().parents[1]
+        code = ("import sys, fracneumann.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_sigma_output(self, capsys):
         assert main(["sigma"]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy import special
 
 import fracneumann as fn
 from fracneumann import operators
@@ -34,6 +35,15 @@ def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
         return val
 
     return c_ns * (one_side(xstar - lo, -1.0) + one_side(hi - xstar, +1.0))
+
+
+class TestNormalizationConstant:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.75, 0.9])
+    def test_against_scipy_gamma(self, dim, s):
+        want = 4.0**s * s * special.gamma(dim / 2.0 + s) \
+            / (np.pi ** (dim / 2.0) * special.gamma(1.0 - s))
+        assert operators.normalization_constant(dim, s) == pytest.approx(want, rel=1e-15)
 
 
 class TestAssembly:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
-from fracneumann.problem import fprime_eval
+from fracneumann.problem import _bisect, fprime_eval
 
 from conftest import random_grid_function
 
@@ -49,6 +50,20 @@ class TestNonlinearityValues:
         # beyond the table the power growth continues
         assert fn.f_eval(table, 20.0) == pytest.approx(400.0, rel=1e-5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(2.2, 5.0),
+           t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
+    def test_power_primitive_matches_pow(self, p, t):
+        # F(t) = t * t**(p-1) / p agrees with the one-pow form tp**p / p
+        nl = fn.power_nonlinearity(p)
+        t = np.array(t)
+        tp = np.maximum(t, 0.0)
+        want = tp**p / p
+        got = fn.F_eval(nl, t)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+        assert np.all(got[t <= 0.0] == 0.0)
+        assert fn.F_eval(nl, 0.0) == 0.0
+
     def test_fprime(self):
         nl = fn.power_nonlinearity(3.0)
         assert fprime_eval(nl, 2.0) == pytest.approx(4.0)
@@ -75,6 +90,24 @@ class TestHypotheses:
         report = fn.check_hypotheses(fn.power_nonlinearity(2.2))
         assert report.superlinear_ok
         assert report.ok
+
+    def test_table_fixed_point_off_the_grid(self):
+        # on [1, 2] the table is f(t) = 3t - 2.75, which meets f(t) = t at
+        # t = 11/8, between two points of the screening grid
+        nl = fn.table_nonlinearity(np.array([0.0, 1.0, 2.0]),
+                                   np.array([0.0, 0.25, 3.25]), p=3.0, theta=2.1)
+        grid = np.logspace(-8, 8, 2000)
+        assert np.min(np.abs(grid - 1.375)) > 1e-3
+        report = fn.check_hypotheses(nl)
+        assert report.fixed_points == pytest.approx([1.375], abs=1e-12)
+        # alpha = t^2/2 - F(t) at t = 11/8, with F(11/8) = 55/128
+        assert report.alpha == pytest.approx(0.9453125 - 0.4296875, rel=1e-12)
+
+    def test_bisection_compares_signs(self):
+        # g(lo) * g(mid) underflows to 0 here; the sign test still halves
+        # toward the root
+        root = _bisect(lambda t: (t - 0.3) * 1e-300, 0.0, 1.0, 1e-14)
+        assert root == pytest.approx(0.3, abs=1e-14)
 
     def test_identity_map_rejected(self):
         # f(t) = t has every positive t fixed and zero energy gap

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy import special
 
 import fracneumann as fn
 from fracneumann.tent import unit_ball_volume
@@ -59,6 +60,23 @@ class TestMassConstants:
     def test_against_quadrature_oracle(self, dim, q):
         assert fn.K_q(dim, q) == pytest.approx(tent_mass_oracle(dim, q), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 2.0, 2.5, 7.3, 30.0, 100.0])
+    def test_against_scipy_beta(self, dim, q):
+        want = dim * np.pi ** (dim / 2.0) / special.gamma(dim / 2.0 + 1.0) \
+            * special.beta(dim, q + 1.0)
+        assert fn.K_q(dim, q) == pytest.approx(want, rel=1e-12)
+
+    def test_exact_where_gamma_overflows(self):
+        # Gamma(627) overflows a double; the finite product does not
+        assert fn.K_q(1, 626.0) == pytest.approx(2.0 / 627.0, rel=1e-15)
+
+    def test_unit_ball_volume(self):
+        # exactly 2 in 1D, so K_q(1, q) = 2 B(1, q+1) adds no rounding
+        assert unit_ball_volume(1) == 2.0
+        assert unit_ball_volume(2) == pytest.approx(np.pi, rel=1e-15)
+        assert unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-15)
+
     def test_rejects_nonpositive_exponent(self):
         with pytest.raises(ValueError, match="q > 0"):
             fn.K_q(1, 0.0)
@@ -77,6 +95,10 @@ class TestMassConstants:
 class TestSigma:
     def test_closed_form_1d(self):
         assert fn.solve_sigma(1) == pytest.approx(2.0 ** (-1.0 / 3.0), abs=1e-10)
+
+    def test_pinned_values(self):
+        assert fn.solve_sigma(1) == 0.7937005259841499
+        assert fn.solve_sigma(2) == 0.6142724318674482
 
     def test_unique_sign_change_2d(self):
         from fracneumann.tent import _sigma_gap
