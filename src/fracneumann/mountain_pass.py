@@ -87,7 +87,10 @@ class SolveReport:
     min_u: float
     energy_vs_constant: float
     norm_sq: float
-    iterations: int
+    iterations: int              # flow_sweeps + newton_steps
+    flow_sweeps: int             # path maxima taken, one per sweep
+    newton_steps: int
+    flow_kernel_rows: int        # path rows the flow steps applied the kernel to
     converged: bool
     grad_tol: float
     rho: float
@@ -143,26 +146,27 @@ class _PathState:
         self.path = path
         self.lrows = _graph_laplacian_apply(op, path)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
+        self.kernel_rows = 0  # rows the flow steps handed to the kernel
 
-    def node_energies(self) -> np.ndarray:
-        quad = 0.5 * self.e2s * np.einsum("ij,ij->i", self.path, self.lrows)
-        return quad + _reaction(self.spec, self.path[:, :self.ni])
+    def node_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``p . Lp``, energy) of every path node, from the maintained rows."""
+        s_pp = np.einsum("ij,ij->i", self.path, self.lrows)
+        node_e = 0.5 * self.e2s * s_pp + _reaction(self.spec, self.path[:, :self.ni])
+        return s_pp, node_e
 
-    def crest(self) -> tuple[float, np.ndarray]:
+    def crest(self, s_pp: np.ndarray, node_e: np.ndarray) -> tuple[float, np.ndarray]:
         """(value, point) of the sampled path maximum over nodes and
-        segment interiors, endpoints excluded."""
-        node_e = self.node_energies()
+        segment interiors, endpoints excluded, given the :meth:`node_terms`
+        of the path."""
         k = 1 + int(np.argmax(node_e[1:-1]))
         best_val, best_pt = float(node_e[k]), self.path[k]
 
         p, lr = self.path, self.lrows
-        s_aa = np.einsum("ij,ij->i", p[:-1], lr[:-1])
-        s_bb = np.einsum("ij,ij->i", p[1:], lr[1:])
         s_ab = np.einsum("ij,ij->i", p[:-1], lr[1:])
         t = self.sub_t[:, None]
-        quad = 0.5 * self.e2s * ((1.0 - t) ** 2 * s_aa[None, :]
+        quad = 0.5 * self.e2s * ((1.0 - t) ** 2 * s_pp[None, :-1]
                                  + 2.0 * t * (1.0 - t) * s_ab[None, :]
-                                 + t**2 * s_bb[None, :])
+                                 + t**2 * s_pp[None, 1:])
         a_i = p[:-1, :self.ni]
         b_i = p[1:, :self.ni]
         combos = (1.0 - t[:, :, None]) * a_i[None, :, :] + t[:, :, None] * b_i[None, :, :]
@@ -175,60 +179,59 @@ class _PathState:
             best_pt = (1.0 - tt) * self.path[seg] + tt * self.path[seg + 1]
         return best_val, best_pt.copy()
 
-    def gradients(self) -> np.ndarray:
-        """Energy gradients of every path point, from the maintained rows."""
-        g = (self.e2s / self.vol) * self.lrows
-        ui = self.path[:, :self.ni]
-        g[:, :self.ni] += ui - f_eval(self.spec.nonlinearity, ui)
-        return g
-
-    def flow_step(self, steps: np.ndarray) -> np.ndarray:
-        """One backtracking descent step on every interior path point.
+    def flow_step(self, steps: np.ndarray, s_pp: np.ndarray,
+                  node_e: np.ndarray) -> np.ndarray:
+        """One backtracking descent step on the interior path points; returns
+        the mask of the points that moved.
 
         Points whose energy has already fallen below the level of the path
         start (zero) can no longer carry the path maximum and are frozen,
         which keeps the flow focused on the crest and prevents the unbounded
-        downhill side of the functional from running away.  Displacements
-        are capped at one average segment length per sweep.  ``steps``
-        carries the per-point initial step sizes and is updated in place.
+        downhill side of the functional from running away.  They and
+        critical points (zero gradient) are picked from the path's
+        :meth:`node_terms` ``s_pp``, ``node_e`` before any kernel work, so
+        only points that can move reach the kernel.  Displacements are capped
+        at one average segment length per sweep.  ``steps`` carries the
+        per-point initial step sizes and is updated in place; frozen points
+        keep theirs.
         """
-        mov = slice(1, self.path.shape[0] - 1)
-        p = self.path[mov]
-        lp = self.lrows[mov]
-        g = self.gradients()[mov]
+        accepted = np.zeros(steps.shape, dtype=bool)
+        rows = 1 + np.flatnonzero(node_e[1:-1] > 0.0)
+        ui = self.path[rows, :self.ni]
+        g = (self.e2s / self.vol) * self.lrows[rows]
+        g[:, :self.ni] += ui - f_eval(self.spec.nonlinearity, ui)
+        gg_vol = self.vol * np.einsum("ij,ij->i", g, g)
+        keep = gg_vol > 0.0
+        rows, g, gg_vol = rows[keep], g[keep], gg_vol[keep]
+        if rows.size == 0:
+            return accepted
+        self.kernel_rows += rows.size
+        p = self.path[rows]
         lg = _graph_laplacian_apply(self.spec.op, g)
-
-        s_pp = np.einsum("ij,ij->i", p, lp)
         s_pg = np.einsum("ij,ij->i", p, lg)
         s_gg = np.einsum("ij,ij->i", g, lg)
-        e0 = 0.5 * self.e2s * s_pp + _reaction(self.spec, p[:, :self.ni])
-        gg_vol = self.vol * np.einsum("ij,ij->i", g, g)
+        s0, e0 = s_pp[rows], node_e[rows]
 
         seg_len = np.linalg.norm(np.diff(self.path, axis=0), axis=1).mean()
-        g_norm = np.linalg.norm(g, axis=1)
-        t_cap = np.where(g_norm > 0.0, seg_len / np.maximum(g_norm, 1e-300), 0.0)
-        t = np.minimum(steps * 2.0, np.maximum(t_cap, 1e-14))
-        active = (gg_vol > 0.0) & (e0 > 0.0)
-        accepted = np.zeros(t.shape, dtype=bool)
+        t_cap = seg_len / np.maximum(np.linalg.norm(g, axis=1), 1e-300)
+        t = np.minimum(steps[rows - 1] * 2.0, np.maximum(t_cap, 1e-14))
+        active = np.ones(rows.size, dtype=bool)
         for _ in range(60):
             if not np.any(active):
                 break
             cand = p[active, :self.ni] - t[active, None] * g[active, :self.ni]
-            cand_e = (0.5 * self.e2s * (s_pp[active] - 2.0 * t[active] * s_pg[active]
+            cand_e = (0.5 * self.e2s * (s0[active] - 2.0 * t[active] * s_pg[active]
                                         + t[active] ** 2 * s_gg[active])
                       + _reaction(self.spec, cand))
             ok = cand_e <= e0[active] - 1e-4 * t[active] * gg_vol[active]
             idx = np.flatnonzero(active)
-            accepted[idx[ok]] = True
             active[idx[ok]] = False
             t[idx[~ok]] *= 0.5
-        frozen = ~accepted & ~active  # never activated: keep step memory
-        t = np.where(accepted, t, 0.0)
-        self.path[mov] = p - t[:, None] * g
-        self.lrows[mov] = lp - t[:, None] * lg
-        steps[:] = np.where(accepted, t,
-                            np.where(frozen, steps,
-                                     np.maximum(steps * 0.5, 1e-14)))
+        acc = ~active  # 60 halvings without acceptance leave a row active
+        self.path[rows[acc]] -= t[acc, None] * g[acc]
+        self.lrows[rows[acc]] -= t[acc, None] * lg[acc]
+        steps[rows - 1] = np.where(acc, t, np.maximum(steps[rows - 1] * 0.5, 1e-14))
+        accepted[rows - 1] = acc
         return accepted
 
     def resample(self, n_points: int) -> None:
@@ -259,7 +262,9 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
     so the collar step is eliminated exactly: the interior step solves the
     system on :func:`_reduced_matrix`, formed once per call with only its
     diagonal rewritten per step.  Steps are accepted on sup-norm residual
-    decrease, with plain gradient steps as fallback.
+    decrease, with plain gradient steps as fallback.  Stopping above
+    ``grad_tol``, at ``max_iter`` or when both line searches fail, warns
+    with a ``RuntimeWarning``.
     """
     op = spec.op
     ni = spec.mesh.n_interior
@@ -310,6 +315,10 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
                 tau *= 0.5
         if not accepted:
             break
+    if res > grad_tol:
+        warnings.warn(f"Newton endgame ended after {used} of {max_iter} steps "
+                      f"at residual {res:.3g} above grad_tol {grad_tol:.3g}",
+                      RuntimeWarning, stacklevel=3)
     return u, used
 
 
@@ -357,8 +366,9 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     hist = []
     steps = np.full(PATH_POINTS - 2, DESCENT_STEP)
     stall = 0
-    for flow_iters in range(1, FLOW_MAX_SWEEPS + 1):
-        val, pt = state.crest()
+    for flow_sweeps in range(1, FLOW_MAX_SWEEPS + 1):
+        s_pp, node_e = state.node_terms()
+        val, pt = state.crest(s_pp, node_e)
         if val < incumbent:
             incumbent, crest_pt = val, pt
             stall = 0
@@ -367,15 +377,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         hist.append(incumbent)
         if stall >= FLOW_STALL_WINDOW:
             break
-        state.flow_step(steps)
+        state.flow_step(steps, s_pp, node_e)
         state.resample(PATH_POINTS)
     else:
         warnings.warn(f"path flow hit the iteration cap of {FLOW_MAX_SWEEPS}; "
                       "polishing the incumbent crest", RuntimeWarning,
                       stacklevel=2)
 
-    u, newton_iters = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
-    iterations = flow_iters + newton_iters
+    u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
 
     level = energy(spec, u)
     res = float(np.max(np.abs(energy_gradient(spec, u))))
@@ -397,7 +406,10 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         min_u=float(np.min(ui)),
         energy_vs_constant=float(level / const_level),
         norm_sq=float(bilinear_form(op, u, u)),
-        iterations=iterations,
+        iterations=flow_sweeps + newton_steps,
+        flow_sweeps=flow_sweeps,
+        newton_steps=newton_steps,
+        flow_kernel_rows=state.kernel_rows,
         converged=converged,
         grad_tol=float(grad_tol),
         rho=float(rho),

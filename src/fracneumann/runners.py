@@ -190,6 +190,10 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
                     "residual": report.residual, "min_u": report.min_u,
                     "norm_sq": report.norm_sq,
                     "iterations": report.iterations,
+                    "flow_sweeps": report.flow_sweeps,
+                    "newton_steps": report.newton_steps,
+                    "flow_kernel_rows": report.flow_kernel_rows,
+                    "max_energy_history": report.max_energy_history.tolist(),
                     "converged": report.converged},
                    cfg.config_sha256)
 

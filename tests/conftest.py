@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import fracneumann as fn
-from fracneumann import operators
+from fracneumann import mountain_pass, operators, problem
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,8 @@ def random_grid_function(mesh, seed):
 @pytest.fixture
 def apply_counter(monkeypatch):
     """Records the argument shape of every kernel application made through
-    the shared full-mesh apply while the test runs."""
+    the shared full-mesh apply while the test runs: by the operators, the
+    energy gradient or the path flow."""
     calls = []
     apply = operators._graph_laplacian_apply
 
@@ -81,7 +82,9 @@ def apply_counter(monkeypatch):
         calls.append(np.shape(u))
         return apply(op, u)
 
-    monkeypatch.setattr(operators, "_graph_laplacian_apply", counted)
+    # problem and mountain_pass bind the apply by name
+    for module in (operators, problem, mountain_pass):
+        monkeypatch.setattr(module, "_graph_laplacian_apply", counted)
     return calls
 
 

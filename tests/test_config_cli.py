@@ -164,6 +164,13 @@ class TestSweepRunner:
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert summary["level_over_epsN"]["ratio"] >= 1.0
         assert summary["smallest_eps_level_vs_constant"] < 1.0
+        for eps, rep in zip(cfg.eps_list, result.reports):
+            saved = json.loads((tmp_path / f"solve_report_eps_{eps:g}.json").read_text())
+            assert saved["iterations"] == saved["flow_sweeps"] + saved["newton_steps"]
+            assert saved["max_energy_history"] == rep.max_energy_history.tolist()
+            assert len(saved["max_energy_history"]) == saved["flow_sweeps"]
+            # frozen path points never reach the kernel
+            assert 0 < saved["flow_kernel_rows"] < 19 * saved["flow_sweeps"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP)

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
 from fracneumann import mountain_pass
-from fracneumann.mountain_pass import (NEWTON_MAX_STEPS, _newton_polish,
+from fracneumann.mountain_pass import (DESCENT_STEP, NEWTON_MAX_STEPS,
+                                       PATH_POINTS, _newton_polish,
                                        _PathState, _sphere_bound)
-from fracneumann.problem import fprime_eval
+from fracneumann.operators import _graph_laplacian_apply
+from fracneumann.problem import _reaction, f_eval, fprime_eval
 
 from conftest import dense_weights, energy_scale, small_problems
 
@@ -33,10 +37,99 @@ class TestPathEnergies:
     def test_match_energy(self, spec, seed, points):
         path = np.random.default_rng(seed).standard_normal((points, spec.mesh.n_total))
         state = _PathState(spec, path)
-        for u, got in zip(path, state.node_energies()):
+        s_pp, node_e = state.node_terms()
+        for u, got in zip(path, node_e):
             assert abs(got - fn.energy(spec, u)) <= 1e-12 * energy_scale(spec, u)
-        val, pt = state.crest()
+        val, pt = state.crest(s_pp, node_e)
         assert abs(val - fn.energy(spec, pt)) <= 1e-12 * energy_scale(spec, pt)
+
+
+def _full_stack_flow_step(state, steps):
+    """Oracle: the flow step that builds the gradient and the kernel apply
+    of every interior path point, frozen ones included, and only then
+    discards the frozen rows."""
+    spec, ni, e2s, vol = state.spec, state.ni, state.e2s, state.vol
+    mov = slice(1, state.path.shape[0] - 1)
+    p = state.path[mov]
+    lp = state.lrows[mov]
+    g = (e2s / vol) * lp
+    g[:, :ni] += p[:, :ni] - f_eval(spec.nonlinearity, p[:, :ni])
+    lg = _graph_laplacian_apply(spec.op, g)
+
+    s_pp = np.einsum("ij,ij->i", p, lp)
+    s_pg = np.einsum("ij,ij->i", p, lg)
+    s_gg = np.einsum("ij,ij->i", g, lg)
+    e0 = 0.5 * e2s * s_pp + _reaction(spec, p[:, :ni])
+    gg_vol = vol * np.einsum("ij,ij->i", g, g)
+
+    seg_len = np.linalg.norm(np.diff(state.path, axis=0), axis=1).mean()
+    g_norm = np.linalg.norm(g, axis=1)
+    t_cap = np.where(g_norm > 0.0, seg_len / np.maximum(g_norm, 1e-300), 0.0)
+    t = np.minimum(steps * 2.0, np.maximum(t_cap, 1e-14))
+    active = (gg_vol > 0.0) & (e0 > 0.0)
+    accepted = np.zeros(t.shape, dtype=bool)
+    for _ in range(60):
+        if not np.any(active):
+            break
+        cand = p[active, :ni] - t[active, None] * g[active, :ni]
+        cand_e = (0.5 * e2s * (s_pp[active] - 2.0 * t[active] * s_pg[active]
+                               + t[active] ** 2 * s_gg[active])
+                  + _reaction(spec, cand))
+        ok = cand_e <= e0[active] - 1e-4 * t[active] * gg_vol[active]
+        idx = np.flatnonzero(active)
+        accepted[idx[ok]] = True
+        active[idx[ok]] = False
+        t[idx[~ok]] *= 0.5
+    frozen = ~accepted & ~active  # never activated: keep step memory
+    t = np.where(accepted, t, 0.0)
+    state.path[mov] = p - t[:, None] * g
+    state.lrows[mov] = lp - t[:, None] * lg
+    steps[:] = np.where(accepted, t,
+                        np.where(frozen, steps, np.maximum(steps * 0.5, 1e-14)))
+    return accepted
+
+
+class TestFlowStep:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           points=st.integers(3, 8))
+    def test_matches_full_stack_step(self, spec, seed, points):
+        # amplitudes over 2.5 decades put points on either side of zero energy
+        rng = np.random.default_rng(seed)
+        path = (10.0 ** rng.uniform(-1.0, 1.5, (points, 1))
+                * rng.standard_normal((points, spec.mesh.n_total)))
+        steps = rng.uniform(1e-3, 1.0, points - 2)
+        state, oracle = _PathState(spec, path), _PathState(spec, path.copy())
+        oracle_steps = steps.copy()
+        terms = state.node_terms()  # as the solver loop: crest, then step
+        state.crest(*terms)
+        moved = state.flow_step(steps, *terms)
+        want = _full_stack_flow_step(oracle, oracle_steps)
+        assert np.array_equal(moved, want)
+        assert np.array_equal(steps, oracle_steps)
+        for got, ref in ((state.path, oracle.path), (state.lrows, oracle.lrows)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_kernel_sees_only_positive_energy_points(self, apply_counter):
+        # the straight path from 0 to the endpoint, as the solver starts it
+        mesh = fn.build_interval_mesh(-1.0, 1.0, 0.02, 2.0)
+        spec = fn.ProblemSpec(mesh, fn.assemble(mesh, 0.25, 0.1),
+                              fn.power_nonlinearity(3.0))
+        e = fn.endpoint(spec, fn.phi_eps(mesh, 0.1))
+        state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e)
+        steps = np.full(PATH_POINTS - 2, DESCENT_STEP)
+        counts = []
+        for _ in range(20):
+            s_pp, node_e = state.node_terms()
+            positive = int(np.sum(node_e[1:-1] > 0.0))
+            apply_counter.clear()
+            state.flow_step(steps, s_pp, node_e)
+            assert apply_counter == ([(positive, spec.mesh.n_total)]
+                                     if positive else [])
+            counts.append(positive)
+            state.resample(PATH_POINTS)
+        assert 0 < max(counts) < PATH_POINTS - 2
+        assert state.kernel_rows == sum(counts)
 
 
 class TestSolve:
@@ -187,6 +280,31 @@ class TestNewtonEndgame:
         assert steps == want_steps > 1
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert fn.weak_residual(spec, got) <= rep.grad_tol
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_one_step_matches_full_hessian_newton(self, spec, seed):
+        u0 = np.random.default_rng(seed).standard_normal(spec.mesh.n_total)
+        tol = 1e-12 * float(np.max(np.abs(fn.energy_gradient(spec, u0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, steps = _newton_polish(spec, u0, tol, 1)
+        want, want_steps = _full_hessian_newton(spec, u0, tol, 1)
+        assert steps == want_steps == 1
+        # a step can land on the zero solution: measure against the start too
+        scale = max(np.max(np.abs(want)), np.max(np.abs(u0)))
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    def test_warns_when_it_stops_above_tolerance(self, solved_problem):
+        spec, rep = solved_problem["spec"], solved_problem["report"]
+        rng = np.random.default_rng(7)
+        u0 = rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
+        with pytest.warns(RuntimeWarning,
+                          match="Newton endgame ended after 1 of 1 steps"):
+            u, steps = _newton_polish(spec, u0, rep.grad_tol, 1)
+        assert steps == 1
+        assert fn.weak_residual(spec, u) > rep.grad_tol
 
 
 class TestTwoDimensional:
