@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class FormOperator:
         w_ii, w_ie: the interior-interior and interior-collar weight blocks
             (``W_ei = W_ie^T``; the collar-collar block is zero, not stored).
         row_sums: full-mesh row sums, cached for Laplacian-style applications.
+        reduced: :func:`_reduced_matrix`, once formed; shared by the
+            :meth:`with_eps` copies, which keep the weights.
     """
 
     mesh: DomainMesh
@@ -86,6 +88,7 @@ class FormOperator:
     w_ii: np.ndarray
     w_ie: np.ndarray
     row_sums: np.ndarray
+    reduced: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -99,7 +102,9 @@ class FormOperator:
         """Same weights, different energy scale (weights are eps-independent)."""
         if eps <= 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
-        return replace(self, eps=float(eps))
+        other = replace(self, eps=float(eps))
+        object.__setattr__(other, "reduced", self.reduced)
+        return other
 
 
 def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
@@ -149,14 +154,29 @@ def _pair_weights(x: np.ndarray, y: np.ndarray, s: float,
     return w
 
 
-def _check_size(op: FormOperator, u: np.ndarray, name: str = "u") -> np.ndarray:
+def _check_size(op: FormOperator, u: np.ndarray, name: str = "u",
+                stack: bool = False) -> np.ndarray:
+    """``u`` as a float grid function; ``stack`` also admits a ``(k, n)``
+    stack of them."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (op.n_total,):
+    if u.shape[-1:] != (op.n_total,) or u.ndim > 1 + stack:
         raise ValueError(
             f"size mismatch: {name} has shape {u.shape}, "
             f"mesh has {op.n_total} nodes"
         )
     return u
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a . b`` over the last axis: BLAS for one pair, the pairwise-summed
+    ``(a * b).sum(-1)`` for stacks (an einsum row dot is several times less
+    accurate on the identity residuals)."""
+    return a @ b if a.ndim == b.ndim == 1 else (a * b).sum(-1)
+
+
+def _scalar(x):
+    """A float for one grid function's result, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _centered(u: np.ndarray) -> np.ndarray:
@@ -207,9 +227,9 @@ def neumann_derivative(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Nonlocal normal derivative at the collar nodes.
 
     ``c_ns * sum_{j interior} vol_j (u_k - u_j) / |x_k - x_j|**(dim+2s)``;
-    collar nodes only couple to interior nodes.
+    collar nodes only couple to interior nodes.  Row by row for a stack.
     """
-    return _flux(op, _check_size(op, u))[op.n_interior:]
+    return _flux(op, _check_size(op, u, stack=True))[..., op.n_interior:]
 
 
 def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
@@ -218,28 +238,32 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
     The unique zero-flux values are the kernel-weighted averages
     ``u_k = sum_j w_kj u_j / sum_j w_kj``.  The result is clamped to
     ``[min u_int, max u_int]`` (the exact convex-combination range) to keep
-    the discrete maximum principle intact under roundoff.
+    the discrete maximum principle intact under roundoff.  Extends each row
+    of a ``(k, n_interior)`` stack alike.
     """
     u_int = np.asarray(u_int, dtype=float)
     ni = op.n_interior
-    if u_int.shape != (ni,):
+    if u_int.shape[-1:] != (ni,) or u_int.ndim > 2:
         raise ValueError(
             f"size mismatch: expected {ni} interior values, got {u_int.shape}"
         )
-    c0 = u_int.mean()
+    c0 = u_int.mean(axis=-1, keepdims=True)
     u_ext = c0 + ((u_int - c0) @ op.w_ie) / op.row_sums[ni:]
-    np.clip(u_ext, u_int.min(), u_int.max(), out=u_ext)
-    return np.concatenate([u_int, u_ext])
+    np.clip(u_ext, u_int.min(axis=-1, keepdims=True),
+            u_int.max(axis=-1, keepdims=True), out=u_ext)
+    return np.concatenate([u_int, u_ext], axis=-1)
 
 
-def seminorm_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
+def seminorm_form(op: FormOperator, u: np.ndarray,
+                  v: np.ndarray) -> float | np.ndarray:
     """Kernel part of the form, without the eps factor:
 
-    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``.
+    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``, row by
+    row for stacks.
     """
-    u = _check_size(op, u)
-    v = _check_size(op, v, "v")
-    return float(_centered(u) @ _graph_laplacian_apply(op, v))
+    u = _check_size(op, u, stack=True)
+    v = _check_size(op, v, "v", stack=True)
+    return _scalar(_dot(_centered(u), _graph_laplacian_apply(op, v)))
 
 
 def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
@@ -252,65 +276,87 @@ def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
     return op.eps ** (2.0 * op.s) * seminorm_form(op, u, v) + l2
 
 
+def _pairing(op: FormOperator, v: np.ndarray, f: np.ndarray):
+    """``vol v . f`` over the domain plus the same over the collar, row by
+    row for stacks: a grid function tested against a flux."""
+    ni = op.n_interior
+    vol = op.mesh.cell_volume
+    return (vol * _dot(v[..., :ni], f[..., :ni])
+            + vol * _dot(v[..., ni:], f[..., ni:]))
+
+
+def _green_terms(op: FormOperator, u: np.ndarray, v: np.ndarray):
+    """(residual, scale) of the Green identity from the seminorm form and
+    one flux of ``u``: two kernel applies, per function or per stack."""
+    flux = _flux(op, u)
+    return (abs(seminorm_form(op, u, v) - _pairing(op, v, flux)),
+            _pairing(op, np.abs(v), np.abs(flux)))
+
+
 def check_integration_by_parts(op: FormOperator, u: np.ndarray,
-                               v: np.ndarray) -> float:
+                               v: np.ndarray) -> float | np.ndarray:
     """Residual of the discrete Green identity.
 
     Both sides are evaluated from the module's own operators:
     the seminorm form on one side, the fractional Laplacian tested against v
     on the domain plus the normal derivative tested against v on the collar
     on the other.  Sharing one weight set makes the residual pure roundoff.
+    Stacks of ``u`` and ``v`` give one residual per row.
     """
-    u = _check_size(op, u)
-    v = _check_size(op, v, "v")
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-    lhs = seminorm_form(op, u, v)
-    flux = _flux(op, u)
-    rhs = vol * float(v[:ni] @ flux[:ni]) + vol * float(v[ni:] @ flux[ni:])
-    return abs(lhs - rhs)
+    u = _check_size(op, u, stack=True)
+    v = _check_size(op, v, "v", stack=True)
+    return _scalar(_green_terms(op, u, v)[0])
 
 
-def ibp_scale(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
+def ibp_scale(op: FormOperator, u: np.ndarray,
+              v: np.ndarray) -> float | np.ndarray:
     """Magnitude scale of the Green identity terms, for relative residuals."""
+    u = _check_size(op, u, stack=True)
+    v = _check_size(op, v, "v", stack=True)
+    return _scalar(_pairing(op, np.abs(v), np.abs(_flux(op, u))))
+
+
+def _gauss_terms(op: FormOperator, u: np.ndarray):
+    """(residual, scale) of the Gauss identity from one flux of ``u``."""
     ni = op.n_interior
     vol = op.mesh.cell_volume
-    flux = np.abs(_flux(op, _check_size(op, u)))
-    return (
-        vol * float(np.abs(v[:ni]) @ flux[:ni])
-        + vol * float(np.abs(v[ni:]) @ flux[ni:])
-    )
+
+    def total(f: np.ndarray):
+        return vol * f[..., :ni].sum(-1) + vol * f[..., ni:].sum(-1)
+
+    flux = _flux(op, u)
+    return abs(total(flux)), total(np.abs(flux))
 
 
-def check_divergence(op: FormOperator, u: np.ndarray) -> float:
+def check_divergence(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
     """Residual of the discrete Gauss identity
 
     ``integral over domain of the fractional Laplacian
-      + integral over collar of the normal derivative = 0``.
+      + integral over collar of the normal derivative = 0``,
+
+    one per row for a stack.
     """
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-    flux = _flux(op, _check_size(op, u))
-    a = vol * float(np.sum(flux[:ni]))
-    b = vol * float(np.sum(flux[ni:]))
-    return abs(a + b)
+    return _scalar(_gauss_terms(op, _check_size(op, u, stack=True))[0])
 
 
-def divergence_scale(op: FormOperator, u: np.ndarray) -> float:
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-    flux = np.abs(_flux(op, _check_size(op, u)))
-    return vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:]))
+def divergence_scale(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
+    return _scalar(_gauss_terms(op, _check_size(op, u, stack=True))[1])
 
 
 def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     """Interior weights ``W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
     form over collar values (the zero-flux extension; the collar block is
-    diagonal), and its row sums, which equal ``op.row_sums[:ni]``."""
-    ni = op.n_interior
-    b = op.w_ie / np.sqrt(op.row_sums[ni:])
-    m = op.w_ii + b @ b.T
-    return m, m @ np.ones(ni)
+    diagonal), and its row sums, which equal ``op.row_sums[:ni]``.
+
+    Formed on first use and kept, read-only, in ``op.reduced``."""
+    if not op.reduced:
+        ni = op.n_interior
+        b = op.w_ie / np.sqrt(op.row_sums[ni:])
+        m = op.w_ii + b @ b.T
+        d = m @ np.ones(ni)
+        m.flags.writeable = d.flags.writeable = False
+        op.reduced.extend([m, d])
+    return tuple(op.reduced)
 
 
 def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracneumann as fn
-from fracneumann import operators, runners
+from fracneumann import mountain_pass, operators, runners
 from fracneumann.cli import main
 from fracneumann.config import ConfigError, load_config, parse_config
 from fracneumann.mountain_pass import _sphere_bound
@@ -150,6 +150,26 @@ class TestIdentitySuite:
         assert run_identity_suite(parse_config(QUICK_SWEEP), tmp_path)
         assert len(calls) == 1
 
+    def test_stacked_draws_are_the_sequential_stream(self):
+        n, k = 37, runners.IDENTITY_STACK
+        for shape in ((k, n), (k, 2, n)):
+            stacked = np.random.default_rng(3).standard_normal(shape)
+            rng = np.random.default_rng(3)
+            sequential = [rng.standard_normal(n) for _ in range(stacked.size // n)]
+            assert np.array_equal(stacked.reshape(-1, n), sequential)
+
+    def test_kernel_applied_in_stacks(self, tmp_path, apply_counter,
+                                      monkeypatch):
+        def unused(op):
+            raise AssertionError("the identity suite formed the reduced matrix")
+
+        monkeypatch.setattr(operators, "_reduced_matrix", unused)
+        cfg = load_config(CONFIGS[0].parent / "identities_2d.cfg")
+        assert run_identity_suite(cfg, tmp_path)
+        assert len(apply_counter) <= 40
+        assert all(len(shape) == 1 or shape[0] <= runners.IDENTITY_STACK
+                   for shape in apply_counter)
+
 
 class TestSweepRunner:
     def test_quick_sweep(self, tmp_path):
@@ -196,6 +216,23 @@ class TestSweepRunner:
         first = result.specs[0].op
         assert all(sp.op.w_ii is first.w_ii and sp.op.w_ie is first.w_ie
                    for sp in result.specs)
+
+    def test_reduced_matrix_formed_once(self, tmp_path, monkeypatch):
+        returned = []
+        reduced = operators._reduced_matrix
+
+        def recorded(op):
+            m, d = reduced(op)
+            returned.append(m)
+            return m, d
+
+        for module in (operators, mountain_pass):
+            monkeypatch.setattr(module, "_reduced_matrix", recorded)
+        cfg = parse_config(QUICK_SWEEP)
+        run_scaling_sweep(cfg, tmp_path)
+        # embedding estimate and Newton endgame, per eps: one array
+        assert len(returned) == 2 * len(cfg.eps_list)
+        assert all(m is returned[0] for m in returned)
 
     def test_sphere_bound_uses_the_embedding_constant(self, tmp_path):
         result = run_scaling_sweep(parse_config(QUICK_SWEEP), tmp_path)

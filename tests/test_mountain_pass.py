@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fracneumann as fn
 from fracneumann import mountain_pass
@@ -145,6 +145,27 @@ class TestSolve:
 
     def test_incumbent_history_nonincreasing(self, solved_problem):
         hist = solved_problem["report"].max_energy_history
+        assert np.all(np.diff(hist) <= 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           bump=st.floats(0.0, 2.0))
+    def test_incumbent_history_nonincreasing_on_random_problems(self, spec,
+                                                                seed, bump):
+        # a positive endpoint, doubled until its energy is negative (at most
+        # 43 doublings in 1,000 draws)
+        rng = np.random.default_rng(seed)
+        e = 1.0 + bump * np.abs(rng.standard_normal(spec.mesh.n_total))
+        for _ in range(64):
+            if fn.energy(spec, e) < 0.0:
+                break
+            e = 2.0 * e
+        assume(fn.energy(spec, e) < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
+        hist = rep.max_energy_history
+        assert len(hist) == rep.flow_sweeps > 0
         assert np.all(np.diff(hist) <= 0.0)
 
     def test_level_below_incumbent(self, solved_problem):

@@ -12,9 +12,10 @@ from scipy import special
 import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
-from fracneumann.operators import (_graph_laplacian_apply, _reduced_matrix,
-                                   _regional_seminorm, divergence_scale,
-                                   ibp_scale)
+from fracneumann.operators import (_centered, _flux, _gauss_terms,
+                                   _graph_laplacian_apply, _green_terms,
+                                   _reduced_matrix, _regional_seminorm,
+                                   divergence_scale, ibp_scale)
 
 from conftest import dense_weights, random_grid_function, small_operators
 
@@ -108,6 +109,7 @@ class TestAssembly:
         other = op_1d.with_eps(0.05)
         assert other.w_ii is op_1d.w_ii and other.w_ie is op_1d.w_ie
         assert other.eps == 0.05
+        assert other.reduced is op_1d.reduced
         with pytest.raises(ValueError, match="positive"):
             op_1d.with_eps(-1.0)
 
@@ -266,6 +268,66 @@ class TestIdentities:
         check(op_2d, u, v)
         assert len(apply_counter) == applies
 
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 5), constant_row=st.booleans())
+    def test_stack_matches_rowwise(self, op, seed, k, constant_row):
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((2, k, op.n_total))
+        if constant_row:
+            u[0] = 1.7  # exact zeros on both paths
+        gauss = (lambda u, v: _gauss_terms(op, u),
+                 lambda u, v: (fn.check_divergence(op, u),
+                               divergence_scale(op, u)))
+        green = (lambda u, v: _green_terms(op, u, v),
+                 lambda u, v: (fn.check_integration_by_parts(op, u, v),
+                               ibp_scale(op, u, v)))
+        for terms in gauss + green:
+            resid, scale = terms(u, v)
+            assert resid.shape == scale.shape == (k,)
+            for i in range(k):
+                resid_1, scale_1 = terms(u[i], v[i])
+                assert abs(resid[i] - resid_1) <= 1e-15 * scale_1
+                assert abs(scale[i] - scale_1) <= 1e-13 * scale_1
+
+        semi = fn.seminorm_form(op, u, v)
+        flux = fn.neumann_derivative(op, u)
+        w = rng.standard_normal((k, op.n_interior))
+        ext = fn.exterior_extension(op, w)
+        # roundoff scales: the Green terms for the form, and for one flux
+        # value its row sum times the largest pair difference
+        green_scale = ibp_scale(op, u, v)
+        flux_scale = 2.0 * op.row_sums.max() / op.mesh.cell_volume
+        for i in range(k):
+            assert abs(semi[i] - fn.seminorm_form(op, u[i], v[i])) \
+                <= 1e-13 * green_scale[i]
+            assert np.all(np.abs(flux[i] - fn.neumann_derivative(op, u[i]))
+                          <= 1e-13 * flux_scale * np.max(np.abs(u[i])))
+            assert np.all(np.abs(ext[i] - fn.exterior_extension(op, w[i]))
+                          <= 1e-14 * np.max(np.abs(w[i])))
+
+    def test_single_function_gives_float_with_unchanged_bits(self, op_2d):
+        u = random_grid_function(op_2d.mesh, 7)
+        v = random_grid_function(op_2d.mesh, 8)
+        ni, vol = op_2d.n_interior, op_2d.mesh.cell_volume
+        flux = _flux(op_2d, u)
+        semi = float(_centered(u) @ _graph_laplacian_apply(op_2d, v))
+        rhs = vol * float(v[:ni] @ flux[:ni]) + vol * float(v[ni:] @ flux[ni:])
+        afl = np.abs(flux)
+        pairs = [
+            (fn.check_divergence(op_2d, u),
+             abs(vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:])))),
+            (divergence_scale(op_2d, u),
+             vol * float(np.sum(afl[:ni])) + vol * float(np.sum(afl[ni:]))),
+            (fn.seminorm_form(op_2d, u, v), semi),
+            (fn.check_integration_by_parts(op_2d, u, v), abs(semi - rhs)),
+            (ibp_scale(op_2d, u, v), vol * float(np.abs(v[:ni]) @ afl[:ni])
+             + vol * float(np.abs(v[ni:]) @ afl[ni:])),
+        ]
+        for got, expected in pairs:
+            assert type(got) is float and got == expected
+        assert type(fn.bilinear_form(op_2d, u, v)) is float
+
     def test_gauss_constant_exact_zero(self, op_1d, mesh_1d):
         c = np.full(mesh_1d.n_total, 1.3)
         assert fn.check_divergence(op_1d, c) == 0.0
@@ -344,6 +406,17 @@ class TestReducedMatrix:
         other = lift.copy()
         other[ni:] += rng.standard_normal(op.n_total - ni)
         assert reduced <= fn.seminorm_form(op, other, other) * (1.0 + 1e-12)
+
+
+    def test_formed_once_per_weight_set(self, op_1d):
+        m, d = _reduced_matrix(op_1d)
+        other = op_1d.with_eps(0.01)
+        assert _reduced_matrix(other)[0] is m and _reduced_matrix(op_1d)[1] is d
+        assert not (m.flags.writeable or d.flags.writeable)
+        # new weights start without one
+        fresh = dataclasses.replace(op_1d, w_ii=2.0 * op_1d.w_ii)
+        assert not fresh.reduced
+        assert not np.array_equal(_reduced_matrix(fresh)[0], m)
 
 
 class TestEmbeddingConstant:

@@ -152,6 +152,12 @@ class TestEnergy:
             assert total == pytest.approx(norm_part - f_part, rel=1e-12)
 
 
+    def test_rejects_a_stack(self, spec_1d, mesh_1d):
+        # only the identity checks take stacks of grid functions
+        with pytest.raises(ValueError, match="size mismatch"):
+            fn.energy(spec_1d, np.zeros((2, mesh_1d.n_total)))
+
+
 class TestGradient:
     def test_constant_solution_is_exactly_critical(self, spec_1d, mesh_1d):
         u = np.ones(mesh_1d.n_total)  # f(1) = 1 for the cubic model
