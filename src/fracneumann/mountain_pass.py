@@ -333,7 +333,9 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     construction; it stops after ``FLOW_STALL_WINDOW`` sweeps without a new
     incumbent or at ``FLOW_MAX_SWEEPS``.  Phase two applies at most
     ``NEWTON_MAX_STEPS`` damped Newton steps to the incumbent crest until its
-    weak residual falls below the gradient tolerance.
+    weak residual falls below the gradient tolerance.  A flow whose last
+    incumbent lies below the sphere bound ``delta`` has crossed the mountain
+    at every sample; it warns and is reported not converged.
 
     ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound;
     ``None`` estimates it with
@@ -383,12 +385,17 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         warnings.warn(f"path flow hit the iteration cap of {FLOW_MAX_SWEEPS}; "
                       "polishing the incumbent crest", RuntimeWarning,
                       stacklevel=2)
+    crossed = bool(incumbent < delta)
+    if crossed:
+        warnings.warn(f"path flowed through the mountain: last incumbent "
+                      f"{incumbent:.6g} below the sphere bound delta "
+                      f"{delta:.6g}", RuntimeWarning, stacklevel=2)
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
 
     level = energy(spec, u)
     res = float(np.max(np.abs(energy_gradient(spec, u))))
-    converged = bool(res <= grad_tol)
+    converged = bool(res <= grad_tol) and not crossed
     ni = spec.mesh.n_interior
     ui = u[:ni]
     mean = float(np.mean(ui))

@@ -144,8 +144,9 @@ def _pair_weights(x: np.ndarray, y: np.ndarray, s: float,
     """``c_ns vol^2 / |x_i - y_j|^(dim+2s)`` between the points ``x`` and
     ``y`` (one per row), zero for coincident points."""
     dim = x.shape[1]
-    r2 = np.zeros((len(x), len(y)))
-    for k in range(dim):  # one coordinate at a time: no (n, m, dim) tensor
+    r2 = np.subtract.outer(x[:, 0], y[:, 0])
+    r2 *= r2
+    for k in range(1, dim):  # one coordinate at a time: no (n, m, dim) tensor
         d = np.subtract.outer(x[:, k], y[:, k])
         r2 += np.multiply(d, d, out=d)
     r2[r2 == 0.0] = np.inf  # zero self-weight
@@ -372,30 +373,44 @@ def _lq_norm(values: np.ndarray, vol: float, q: float) -> float:
     return m * float(np.sum(vol * (np.abs(values) / m) ** q)) ** (1.0 / q)
 
 
-def _ascend(objective, gradient, norm, u: np.ndarray, max_iter: int,
-            rtol: float, what: str) -> tuple[float, np.ndarray]:
-    """Maximize ``objective(u) -> (value, aux)`` along ``gradient(u, aux)``
-    from the normalized ``u``; ``norm(v)`` projects v in place and returns
-    the norm it is divided by.  Steps double (capped at 1e6) and are halved
-    up to 60 times until the value strictly improves.  Stops at a gradient
-    norm below ``rtol * |value|`` or when no step improves; warns at
-    ``max_iter``.  Returns the last value and its iterate."""
-    val, aux = objective(u)
+def _ascend(apply_b, project, q: float, vol: float, u: np.ndarray,
+            max_iter: int, rtol: float, what: str) -> tuple[float, np.ndarray]:
+    """Maximize ``|u|_q^2 / B(u, u)`` by projected gradient ascent from
+    ``project(u)``, for the quadratic form of the symmetric ``apply_b(v) =
+    B v``; ``project`` maps onto the subspace searched, and is applied to the
+    start and to each gradient.
+
+    Along the ray ``u + t g``, ``B`` is the parabola ``B(u,u) + 2t B(u,g) +
+    t^2 B(g,g)``, so one ``B g`` per iteration prices every trial step, and
+    a trial costs only its Lq norm.  Steps double (capped at 1e6) and are
+    halved up to 60 times until the value strictly improves.  Stops at a
+    gradient norm below ``rtol * |value|`` or when no step improves; warns
+    at ``max_iter``.  Returns the last value and its iterate, ``|u|_q = 1``.
+    """
+    u = project(u)
+    u = u / _lq_norm(u, vol, q)
+    bu = apply_b(u)
+    buu = float(u @ bu)
+    val = 1.0 / buu
     step = 1.0
     for _ in range(max_iter):
-        grad = gradient(u, aux)
+        # gradient of |u|_q^2 / B(u, u) at |u|_q = 1
+        grad = project(2.0 * (vol * np.abs(u) ** (q - 2.0) * u * buu - bu)
+                       / buu**2)
         if float(np.linalg.norm(grad)) <= rtol * max(abs(val), 1e-300):
             return val, u
+        bg = apply_b(grad)
+        bug, bgg = float(grad @ bu), float(grad @ bg)
         step = min(step * 2.0, 1e6)
         for _ in range(60):
             cand = u + step * grad
-            nrm = norm(cand)
-            if nrm > 0.0:
-                cand /= nrm
-                cval, caux = objective(cand)
-                if cval > val + 1e-16 * abs(val):
-                    u, val, aux = cand, cval, caux
-                    break
+            nrm = _lq_norm(cand, vol, q)
+            den = buu + step * (2.0 * bug + step * bgg)
+            cval = nrm * nrm / den if den > 0.0 else 0.0
+            if cval > val + 1e-16 * abs(val):
+                u, bu = cand / nrm, (bu + step * bg) / nrm
+                buu, val = den / (nrm * nrm), cval
+                break
             step *= 0.5
         else:
             return val, u  # no ascent left at float resolution
@@ -408,41 +423,22 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
                               rtol: float = 1e-11) -> float:
     """Infimum of the regional Rayleigh quotient over zero-mean functions.
 
-    Minimizes ``sqrt(regional seminorm) / Lq norm`` with ``q`` the critical
-    exponent, by projected gradient descent with backtracking, over interior
-    grid functions of zero mean.  The constant direction is removed because
-    the regional seminorm vanishes on constants while the Lq norm does not,
-    which would drive the literal infimum to zero.
+    ``sqrt(regional seminorm) / Lq norm`` with ``q`` the critical exponent,
+    over interior grid functions of zero mean: :func:`_ascend` maximizes its
+    inverse square.  The constant direction is removed because the regional
+    seminorm vanishes on constants while the Lq norm does not, which would
+    drive the literal infimum to zero.
 
     Non-convergence is reported with a warning, not an error; the last
     iterate's quotient is returned.
     """
-    q = critical_exponent(op.mesh.dim, op.s)
     w, d = op.w_ii, op.w_ii @ np.ones(op.n_interior)
-    vol = op.mesh.cell_volume
-
-    def norm(v: np.ndarray) -> float:
-        v -= v.mean()
-        return _lq_norm(v, vol, q)
-
-    def neg_rayleigh(v: np.ndarray):
-        num = _regional_seminorm(w, d, v)
-        den = _lq_norm(v, vol, q) ** 2
-        return -num / den, (num, den)
-
-    def ascent(v: np.ndarray, aux) -> np.ndarray:
-        num, den = aux
-        grad_num = 2.0 * _laplacian(w, d, v)
-        grad_den = 2.0 * (den**0.5) ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
-        grad = (grad_num * den - num * grad_den) / den**2
-        return -(grad - grad.mean())  # projected descent direction
-
-    # Deterministic low-frequency start: first coordinate, centered.
-    u = op.mesh.interior_nodes[:, 0].copy()
-    u /= norm(u)
-    val, _ = _ascend(neg_rayleigh, ascent, norm, u, max_iter, rtol,
+    # deterministic low-frequency start: the first coordinate, centered
+    val, _ = _ascend(lambda v: _laplacian(w, d, v), lambda v: v - v.mean(),
+                     critical_exponent(op.mesh.dim, op.s), op.mesh.cell_volume,
+                     op.mesh.interior_nodes[:, 0], max_iter, rtol,
                      "Sobolev quotient minimization")
-    return float((-val) ** 0.5)
+    return float((1.0 / val) ** 0.5)
 
 
 def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
@@ -456,38 +452,25 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     the zero-mean regional quotient of :func:`estimate_sobolev_constant`
     underestimates it on smooth bumps, whose full-form energy is not
     seminorm-dominated.  Maximized over interior values with the collar
-    eliminated (:func:`_reduced_matrix`) by gradient ascent from a
-    deterministic bump profile; reaching ``max_iter`` warns.  Returns the
-    full-form quotient of the maximizer's :func:`exterior_extension`.
+    eliminated (:func:`_reduced_matrix`) by :func:`_ascend` from a
+    deterministic bump profile, with ``B = eps^(-2s) bilinear_form``;
+    reaching ``max_iter`` warns.  Returns the full-form quotient of the
+    maximizer's :func:`exterior_extension`.
     """
     q = critical_exponent(op.mesh.dim, op.s)
     m, d = _reduced_matrix(op)
     vol = op.mesh.cell_volume
     e2s = op.eps ** (2.0 * op.s)
-
-    def norm(v: np.ndarray) -> float:
-        return _lq_norm(v, vol, q)
-
-    def quotient(v: np.ndarray):
-        lv = _laplacian(m, d, v)
-        num = e2s * norm(v) ** 2
-        den = e2s * float(_centered(v) @ lv) + vol * float(v @ v)
-        return num / den, (num, den, lv)
-
-    def ascent(v: np.ndarray, aux) -> np.ndarray:
-        num, den, lv = aux
-        lq = (num / e2s) ** 0.5
-        grad_num = 2.0 * e2s * lq ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
-        grad_den = 2.0 * e2s * lv + 2.0 * vol * v
-        return (grad_num * den - num * grad_den) / den**2
-
     r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
     u = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
-    u /= norm(u)
-    _, u = _ascend(quotient, ascent, norm, u, max_iter, rtol,
+    if not u.any():  # every node at the largest radius: the bump vanishes
+        u += 1.0
+    _, u = _ascend(lambda v: _laplacian(m, d, v) + (vol / e2s) * v,
+                   lambda v: v, q, vol, u, max_iter, rtol,
                    "embedding quotient maximization")
     lift = exterior_extension(op, u)
-    return float((e2s * norm(u) ** 2 / bilinear_form(op, lift, lift)) ** 0.5)
+    return float((e2s * _lq_norm(u, vol, q) ** 2
+                  / bilinear_form(op, lift, lift)) ** 0.5)
 
 
 def verify_scaling_identity(mesh: DomainMesh, mesh_scaled: DomainMesh,

@@ -105,22 +105,28 @@ def solve_sigma(dim: int, tol: float = 1e-12) -> float:
     return _bisect(lambda sigma: _sigma_gap(sigma, dim), 0.0, 1.0, tol)
 
 
-def g_of_t(spec: ProblemSpec, phi: np.ndarray, t):
+def g_of_t(spec: ProblemSpec, phi: np.ndarray, t, *,
+           semi: float | None = None):
     """Energy along the tent ray, ``g(t) = energy(t * phi)``, in the closed
     form ``(t^2/2) eps^(2s) [phi]^2 + integral (t^2 phi^2/2 - F(t phi))``,
-    for a scalar t (float result) or an array of t (one kernel apply)."""
+    for a scalar t (float result) or an array of t (one kernel apply, none
+    when ``semi = eps^(2s) [phi]^2`` is given)."""
+    if semi is None:
+        semi = spec.eps ** (2.0 * spec.s) * seminorm_form(spec.op, phi, phi)
     t = np.asarray(t, dtype=float)
-    semi = spec.eps ** (2.0 * spec.s) * seminorm_form(spec.op, phi, phi)
     tphi = t[..., None] * phi[:spec.mesh.n_interior]
     g = 0.5 * t * t * semi + _reaction(spec, tphi)
     return g if g.ndim else float(g)
 
 
-def g_prime(spec: ProblemSpec, phi: np.ndarray, t):
+def g_prime(spec: ProblemSpec, phi: np.ndarray, t, *,
+            norm_sq: float | None = None):
     """Exact derivative of the ray energy:
-    ``t ||phi||^2 - integral f(t phi) phi``, for a scalar or an array t."""
+    ``t ||phi||^2 - integral f(t phi) phi``, for a scalar or an array t
+    (one kernel apply, none when ``norm_sq = ||phi||^2`` is given)."""
+    if norm_sq is None:
+        norm_sq = bilinear_form(spec.op, phi, phi)
     t = np.asarray(t, dtype=float)
-    norm_sq = bilinear_form(spec.op, phi, phi)
     phi_i = phi[:spec.mesh.n_interior]
     fi = f_eval(spec.nonlinearity, t[..., None] * phi_i)
     g = t * norm_sq - spec.mesh.cell_volume * (fi @ phi_i)
@@ -159,7 +165,10 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray,
             "constant; screen other models separately"
         )
     eps, dim, p = spec.eps, spec.dim, nl.p
-    norm_sq = bilinear_form(spec.op, phi, phi)
+    # the one kernel apply; ||phi||^2 as bilinear_form forms it
+    semi = eps ** (2.0 * spec.s) * seminorm_form(spec.op, phi, phi)
+    phi_i = phi[:spec.mesh.n_interior]
+    norm_sq = semi + spec.mesh.cell_volume * float(phi_i @ phi_i)
     c_est = eps**dim * norm_sq
     k2 = K_q(dim, 2.0)
     sigma = solve_sigma(dim)
@@ -179,13 +188,14 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray,
     bound = c1 * eps**dim
 
     g_max = float(np.max(g_of_t(spec, phi,
-                                np.geomspace(1e-6, 10.0 * t2, scan_points))))
+                                np.geomspace(1e-6, 10.0 * t2, scan_points),
+                                semi=semi)))
     ts = np.geomspace(1.01 * t1, 10.0 * t2, scan_points)
     failures = [("g_prime_nonnegative", float(t))
-                for t in ts[g_prime(spec, phi, ts) >= 0.0]]
+                for t in ts[g_prime(spec, phi, ts, norm_sq=norm_sq) >= 0.0]]
     ts = np.geomspace(t2, 10.0 * t2, scan_points)
     failures += [("g_nonnegative", float(t))
-                 for t in ts[g_of_t(spec, phi, ts) >= 0.0]]
+                 for t in ts[g_of_t(spec, phi, ts, semi=semi) >= 0.0]]
     if g_max > bound:
         failures.append(("g_max_exceeds_bound", float(g_max)))
 

@@ -168,6 +168,47 @@ class TestSolve:
         assert len(hist) == rep.flow_sweeps > 0
         assert np.all(np.diff(hist) <= 0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           bump=st.floats(0.0, 2.0))
+    def test_not_converged_after_crossing_the_mountain(self, spec, seed, bump):
+        # endpoints as above; a last incumbent below delta means every path
+        # sample has flowed through the mountain
+        rng = np.random.default_rng(seed)
+        e = 1.0 + bump * np.abs(rng.standard_normal(spec.mesh.n_total))
+        for _ in range(64):
+            if fn.energy(spec, e) < 0.0:
+                break
+            e = 2.0 * e
+        assume(fn.energy(spec, e) < 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
+        crossed = rep.max_energy_history[-1] < rep.delta
+        named = [str(w.message) for w in caught
+                 if "through the mountain" in str(w.message)]
+        assert len(named) == int(crossed)
+        if crossed:
+            assert not rep.converged
+
+    def test_warns_when_the_incumbent_falls_below_delta(self, solved_problem):
+        # an embedding constant that puts the sphere at half the endpoint
+        # norm: delta then lies far above the mountain-pass level
+        spec, e = solved_problem["spec"], solved_problem["endpoint"]
+        a = 0.5 - spec.nonlinearity.eta
+        rho = 0.25 * fn.bilinear_form(spec.op, e, e) ** 0.5
+        s_const = (0.5 * a / rho * spec.eps ** (2.0 * spec.s)) ** 0.5  # p = 3
+        _, delta = _sphere_bound(spec, s_const)
+        with pytest.warns(RuntimeWarning, match="through the mountain") as rec:
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
+                                         sobolev_constant=s_const)
+        incumbent = rep.max_energy_history[-1]
+        assert incumbent < rep.delta == delta
+        message, = [str(w.message) for w in rec
+                    if "through the mountain" in str(w.message)]
+        assert f"{incumbent:.6g}" in message and f"{delta:.6g}" in message
+        assert rep.residual <= rep.grad_tol and not rep.converged
+
     def test_level_below_incumbent(self, solved_problem):
         rep = solved_problem["report"]
         assert rep.level <= rep.max_energy_history[-1] + 1e-12

@@ -38,6 +38,118 @@ def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
     return c_ns * (one_side(xstar - lo, -1.0) + one_side(hi - xstar, +1.0))
 
 
+def two_pass_pair_weights(x, y, s, vol):
+    """The pair weights as first written, with ``r^2`` summed into a zero
+    array."""
+    dim = x.shape[1]
+    r2 = np.zeros((len(x), len(y)))
+    for k in range(dim):
+        d = np.subtract.outer(x[:, k], y[:, k])
+        r2 += np.multiply(d, d, out=d)
+    r2[r2 == 0.0] = np.inf
+    w = np.power(r2, -(dim + 2.0 * s) / 2.0, out=r2)
+    w *= operators.normalization_constant(dim, s) * vol * vol
+    return w
+
+
+def per_trial_ascend(objective, gradient, norm, u, max_iter, rtol):
+    """Oracle ascent that recomputes the objective at every trial step."""
+    val, aux = objective(u)
+    step = 1.0
+    for _ in range(max_iter):
+        grad = gradient(u, aux)
+        if float(np.linalg.norm(grad)) <= rtol * max(abs(val), 1e-300):
+            return val, u
+        step = min(step * 2.0, 1e6)
+        for _ in range(60):
+            cand = u + step * grad
+            nrm = norm(cand)
+            if nrm > 0.0:
+                cand /= nrm
+                cval, caux = objective(cand)
+                if cval > val + 1e-16 * abs(val):
+                    u, val, aux = cand, cval, caux
+                    break
+            step *= 0.5
+        else:
+            return val, u
+    raise AssertionError("oracle ascent hit its cap")
+
+
+def per_trial_embedding_constant(op, max_iter=2000, rtol=1e-10):
+    """Oracle: the embedding estimator with a reduced-matrix product and two
+    Lq norms at every trial step."""
+    q = operators.critical_exponent(op.mesh.dim, op.s)
+    m, d = _reduced_matrix(op)
+    vol = op.mesh.cell_volume
+    e2s = op.eps ** (2.0 * op.s)
+
+    def norm(v):
+        return operators._lq_norm(v, vol, q)
+
+    def quotient(v):
+        lv = operators._laplacian(m, d, v)
+        num = e2s * norm(v) ** 2
+        den = e2s * float(_centered(v) @ lv) + vol * float(v @ v)
+        return num / den, (num, den, lv)
+
+    def ascent(v, aux):
+        num, den, lv = aux
+        lq = (num / e2s) ** 0.5
+        grad_num = 2.0 * e2s * lq ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
+        grad_den = 2.0 * e2s * lv + 2.0 * vol * v
+        return (grad_num * den - num * grad_den) / den**2
+
+    r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
+    u = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
+    u /= norm(u)
+    _, u = per_trial_ascend(quotient, ascent, norm, u, max_iter, rtol)
+    lift = fn.exterior_extension(op, u)
+    return (e2s * norm(u) ** 2 / fn.bilinear_form(op, lift, lift)) ** 0.5
+
+
+def per_trial_sobolev_constant(op, max_iter=4000, rtol=1e-11):
+    """Oracle: the Sobolev estimator descending ``seminorm / |u|_q^2`` with
+    every trial step evaluated in full."""
+    q = operators.critical_exponent(op.mesh.dim, op.s)
+    w, d = op.w_ii, op.w_ii @ np.ones(op.n_interior)
+    vol = op.mesh.cell_volume
+
+    def norm(v):
+        v -= v.mean()
+        return operators._lq_norm(v, vol, q)
+
+    def neg_rayleigh(v):
+        num = _regional_seminorm(w, d, v)
+        den = operators._lq_norm(v, vol, q) ** 2
+        return -num / den, (num, den)
+
+    def ascent(v, aux):
+        num, den = aux
+        grad_num = 2.0 * operators._laplacian(w, d, v)
+        grad_den = 2.0 * (den**0.5) ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
+        grad = (grad_num * den - num * grad_den) / den**2
+        return -(grad - grad.mean())
+
+    u = op.mesh.interior_nodes[:, 0].copy()
+    u /= norm(u)
+    val, _ = per_trial_ascend(neg_rayleigh, ascent, norm, u, max_iter, rtol)
+    return (-val) ** 0.5
+
+
+@pytest.fixture(scope="module")
+def embedding_operators(op_1d, op_2d):
+    """Operators the estimator is checked on against its oracle."""
+    cfg = load_config(Path(__file__).resolve().parents[1]
+                      / "configs" / "quick_1d.cfg")
+    base = fn.assemble(cfg.build_mesh(), cfg.s, 1.0)
+    box = fn.build_box_mesh(((-1.0, 1.0), (-1.0, 1.0)), 0.1, 2.9)
+    return {"op_1d": op_1d, "op_2d": op_2d,
+            "quick_1d@0.3": base.with_eps(0.3),
+            "quick_1d@0.15": base.with_eps(0.15),
+            "centred_box": fn.assemble(box, 0.4, 0.3)}
+
+
 class TestNormalizationConstant:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.75, 0.9])
@@ -69,6 +181,16 @@ class TestAssembly:
             sizes = [a.size for a in arrays if isinstance(a, np.ndarray)]
             assert len(sizes) == 3
             assert max(sizes) <= op.n_interior * op.n_total
+
+    @pytest.mark.parametrize("mesh", ["mesh_1d", "mesh_2d"])
+    def test_pair_weights_match_the_two_pass_formula(self, mesh, request):
+        mesh = request.getfixturevalue(mesh)
+        xi, xe = mesh.interior_nodes, mesh.exterior_nodes
+        # with coincident points (the diagonal, a repeated point) and without
+        for x, y in ((xi, xi), (xi, xe), (xe[:7], np.vstack([xi, xe[3:4]]))):
+            got = operators._pair_weights(x, y, 0.3, mesh.cell_volume)
+            assert np.array_equal(
+                got, two_pass_pair_weights(x, y, 0.3, mesh.cell_volume))
 
     def test_assembly_never_forms_the_full_matrix(self):
         cfg = load_config(Path(__file__).resolve().parents[1]
@@ -444,6 +566,22 @@ class TestEmbeddingConstant:
         assert value**2 == pytest.approx(full_quotient, rel=1e-12)
         assert value**2 == pytest.approx(reduced_quotient, rel=1e-12)
 
+    def test_start_where_the_bump_vanishes(self):
+        # both interior nodes at the largest radius: the bump start is zero;
+        # the estimator starts from a constant and returns a finite value
+        mesh = fn.build_interval_mesh(-0.5, 0.5, 0.5, 1.5)
+        op = fn.assemble(mesh, 0.25, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn.estimate_embedding_constant(op)
+        ones = np.ones(mesh.n_total)
+        q = operators.critical_exponent(1, 0.25)
+        const_quotient = (op.eps ** (2.0 * op.s)
+                          * operators._lq_norm(ones[:2], mesh.cell_volume, q) ** 2
+                          / fn.bilinear_form(op, ones, ones))
+        assert np.isfinite(value)
+        assert value**2 >= const_quotient * (1.0 - 1e-12)
+
     def test_witnesses_probe_functions(self, solved_problem):
         # the measured constant makes the scaled embedding inequality hold
         # for the function family that matters: solutions, bumps, constants
@@ -470,6 +608,78 @@ class TestEmbeddingConstant:
         const_quotient = (spec.op.eps ** (2.0 * spec.op.s)
                           * measure ** (2.0 / spec.two_star - 1.0))
         assert solved_problem["embedding"] ** 2 >= const_quotient * (1.0 - 1e-12)
+
+
+class TestClosedFormLineSearch:
+    """The ascent prices its trial steps with the parabola of ``B``."""
+
+    @pytest.mark.parametrize("case", ["op_1d", "op_2d", "quick_1d@0.3",
+                                      "quick_1d@0.15", "centred_box"])
+    def test_matches_the_per_trial_oracle(self, case, embedding_operators):
+        op = embedding_operators[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn.estimate_embedding_constant(op)
+        assert value == pytest.approx(per_trial_embedding_constant(op),
+                                      rel=1e-12)
+
+    def test_sobolev_matches_the_per_trial_oracle(self, op_1d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fn.estimate_sobolev_constant(op_1d)
+        assert value == pytest.approx(per_trial_sobolev_constant(op_1d),
+                                      rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(op=small_operators())
+    def test_value_is_the_lifted_quotient_and_ascends(self, op):
+        maximizers = []
+        ascend = operators._ascend
+
+        def recorded(*args):
+            maximizers.append(ascend(*args))
+            return maximizers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_ascend", recorded)
+            value = fn.estimate_embedding_constant(op)
+        (val, u), = maximizers
+        vol, e2s = op.mesh.cell_volume, op.eps ** (2.0 * op.s)
+        q = operators.critical_exponent(op.mesh.dim, op.s)
+
+        def lifted_quotient(v):
+            lift = fn.exterior_extension(op, v)
+            return (e2s * operators._lq_norm(v, vol, q) ** 2
+                    / fn.bilinear_form(op, lift, lift))
+
+        assert value**2 == pytest.approx(lifted_quotient(u), rel=1e-12)
+        assert val == pytest.approx(value**2, rel=1e-12)
+        r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
+        start = 1.0 + np.cos(np.pi * r / max(r.max(), 1e-300))
+        if not start.any():
+            start += 1.0
+        assert value**2 >= lifted_quotient(start) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("estimator", [fn.estimate_sobolev_constant,
+                                           fn.estimate_embedding_constant])
+    @pytest.mark.parametrize("max_iter", [3, 10])
+    def test_one_form_apply_per_iteration(self, estimator, max_iter, op_1d,
+                                          monkeypatch):
+        applies = []
+        ascend = operators._ascend
+
+        def counted(apply_b, *rest):
+            def apply(v):
+                applies.append(v.shape)
+                return apply_b(v)
+            return ascend(apply, *rest)
+
+        monkeypatch.setattr(operators, "_ascend", counted)
+        with pytest.warns(RuntimeWarning, match=f"cap of {max_iter}"):
+            estimator(op_1d, max_iter=max_iter)
+        # the start, then one B g per iteration, whatever the trials
+        assert len(applies) == max_iter + 1
+        assert set(applies) == {(op_1d.n_interior,)}
 
 
 class TestScalingIdentity:

@@ -216,6 +216,23 @@ class TestThresholds:
         fn.thresholds(spec, phi)
         assert len(apply_counter) <= 4
 
+    def test_kernel_applied_once(self, tent_scene, apply_counter):
+        # [phi]^2 once; ||phi||^2 and all three scans reuse it
+        spec, phi = tent_scene
+        fn.thresholds(spec, phi)
+        assert len(apply_counter) == 1
+
+    def test_given_terms_keep_the_bits(self, tent_scene):
+        spec, phi = tent_scene
+        ts = np.geomspace(1e-3, 1e3, 50)
+        semi = spec.eps ** (2.0 * spec.s) * fn.seminorm_form(spec.op, phi, phi)
+        norm_sq = fn.bilinear_form(spec.op, phi, phi)
+        assert np.array_equal(fn.g_of_t(spec, phi, ts, semi=semi),
+                              fn.g_of_t(spec, phi, ts))
+        assert np.array_equal(fn.g_prime(spec, phi, ts, norm_sq=norm_sq),
+                              fn.g_prime(spec, phi, ts))
+        assert fn.thresholds(spec, phi).c_est == spec.eps**spec.dim * norm_sq
+
     def test_non_power_model_rejected(self, tent_scene):
         spec, phi = tent_scene
         knots = np.linspace(0.0, 100.0, 50)
