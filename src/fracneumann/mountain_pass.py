@@ -4,12 +4,12 @@ The solver mirrors the variational construction: a discrete path from 0 to an
 endpoint with negative energy is deformed by backtracking descent steps
 applied to its points, while the path maximum is monitored at the nodes and
 along segment interiors (the quadratic energy part is an exact parabola on a
-segment, so interior samples are cheap).  The best path maximum seen so far,
-the incumbent min-max level, is nonincreasing by construction and upper
-bounds the critical level.  Once the deformation stalls, the incumbent crest
-point is driven to a critical point by a damped Newton iteration on the
-gradient, which supplies the quadratic-rate endgame that plain descent lacks
-near a saddle.
+segment and F is convex, so only segments that can carry it are sampled).
+The best path maximum seen so far, the incumbent min-max level, is
+nonincreasing by construction and upper bounds the critical level.  Once the
+deformation stalls, the incumbent crest point is driven to a critical point by
+a damped Newton iteration on the gradient, which supplies the quadratic-rate
+endgame that plain descent lacks near a saddle.
 
 Certificates attached to a solve:
   * level positivity against the explicit sphere bound
@@ -91,6 +91,7 @@ class SolveReport:
     flow_sweeps: int             # path maxima taken, one per sweep
     newton_steps: int
     flow_kernel_rows: int        # path rows the flow steps applied the kernel to
+    crest_segments: int          # path segments whose samples were evaluated
     converged: bool
     grad_tol: float
     rho: float
@@ -145,8 +146,10 @@ class _PathState:
         self.ni = spec.mesh.n_interior
         self.path = path
         self.lrows = _graph_laplacian_apply(op, path)
+        self.chords = np.linalg.norm(np.diff(path, axis=0), axis=1)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
         self.kernel_rows = 0  # rows the flow steps handed to the kernel
+        self.crest_segments = 0  # segments whose samples crest evaluated
 
     def node_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """(``p . Lp``, energy) of every path node, from the maintained rows."""
@@ -154,30 +157,51 @@ class _PathState:
         node_e = 0.5 * self.e2s * s_pp + _reaction(self.spec, self.path[:, :self.ni])
         return s_pp, node_e
 
-    def crest(self, s_pp: np.ndarray, node_e: np.ndarray) -> tuple[float, np.ndarray]:
-        """(value, point) of the sampled path maximum over nodes and
-        segment interiors, endpoints excluded, given the :meth:`node_terms`
-        of the path."""
+    def crest(self, s_pp: np.ndarray, node_e: np.ndarray,
+              incumbent: float = np.inf) -> tuple[float, np.ndarray]:
+        """(value, point) of the sampled path maximum over nodes and segment
+        interiors, endpoints excluded, given the :meth:`node_terms` of the
+        path, when below ``incumbent``; else a value at or above it.  Only
+        segments whose :meth:`sample_terms` bound beats the node maximum are
+        sampled; the bound holds because ``f`` is nondecreasing."""
         k = 1 + int(np.argmax(node_e[1:-1]))
         best_val, best_pt = float(node_e[k]), self.path[k]
+        if best_val >= incumbent:
+            return best_val, best_pt.copy()
+        quad, bound = self.sample_terms(s_pp, node_e)
+        seg = np.flatnonzero(np.any(bound > best_val, axis=0))
+        self.crest_segments += seg.size
+        if seg.size:
+            p, t = self.path, self.sub_t[:, None, None]
+            a_i, b_i = p[seg, :self.ni], p[seg + 1, :self.ni]
+            vals = quad[:, seg] + _reaction(self.spec, (1.0 - t) * a_i + t * b_i)
+            ti, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[ti, j] > best_val:
+                tt, best_val = self.sub_t[ti], float(vals[ti, j])
+                best_pt = (1.0 - tt) * p[seg[j]] + tt * p[seg[j] + 1]
+        return best_val, best_pt.copy()
 
-        p, lr = self.path, self.lrows
-        s_ab = np.einsum("ij,ij->i", p[:-1], lr[1:])
+    def sample_terms(self, s_pp: np.ndarray,
+                     node_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(quadratic part, bound) of every segment sample's energy, shaped
+        (sample, segment): ``F`` (convex, as ``f`` must be nondecreasing) lies
+        above its tangents at the segment ends; 1e-9 slack covers roundoff."""
+        p, vol, pi = self.path, self.vol, self.path[:, :self.ni]
+        s_ab = np.einsum("ij,ij->i", p[:-1], self.lrows[1:])
         t = self.sub_t[:, None]
         quad = 0.5 * self.e2s * ((1.0 - t) ** 2 * s_pp[None, :-1]
                                  + 2.0 * t * (1.0 - t) * s_ab[None, :]
                                  + t**2 * s_pp[None, 1:])
-        a_i = p[:-1, :self.ni]
-        b_i = p[1:, :self.ni]
-        combos = (1.0 - t[:, :, None]) * a_i[None, :, :] + t[:, :, None] * b_i[None, :, :]
-        vals = quad + _reaction(self.spec, combos)
-        flat = int(np.argmax(vals))
-        ti, seg = np.unravel_index(flat, vals.shape)
-        if float(vals[ti, seg]) > best_val:
-            tt = self.sub_t[ti]
-            best_val = float(vals[ti, seg])
-            best_pt = (1.0 - tt) * self.path[seg] + tt * self.path[seg + 1]
-        return best_val, best_pt.copy()
+        pg = vol * (pi @ pi.T)
+        fg = vol * (f_eval(self.spec.nonlinearity, pi) @ pi.T)  # f(p_j) . p_k
+        m, f_jj, f_ab, f_ba = np.diag(pg), np.diag(fg), np.diag(fg, 1), np.diag(fg, -1)
+        big_f = 0.5 * (self.e2s * s_pp + m) - node_e  # vol * sum F(p_j)
+        bound = (quad + 0.5 * ((1.0 - t) ** 2 * m[:-1] + 2.0 * t * (1.0 - t)
+                               * np.diag(pg, 1) + t**2 * m[1:])
+                 - np.maximum(big_f[:-1] + t * (f_ab - f_jj[:-1]),
+                              big_f[1:] + (1.0 - t) * (f_ba - f_jj[1:])))
+        scale = 0.5 * self.e2s * s_pp + m + np.abs(big_f) + f_jj
+        return quad, bound + 1e-9 * (scale[:-1] + scale[1:] + np.abs(f_ab) + np.abs(f_ba))
 
     def flow_step(self, steps: np.ndarray, s_pp: np.ndarray,
                   node_e: np.ndarray) -> np.ndarray:
@@ -212,7 +236,7 @@ class _PathState:
         s_gg = np.einsum("ij,ij->i", g, lg)
         s0, e0 = s_pp[rows], node_e[rows]
 
-        seg_len = np.linalg.norm(np.diff(self.path, axis=0), axis=1).mean()
+        seg_len = self.chords.mean()
         t_cap = seg_len / np.maximum(np.linalg.norm(g, axis=1), 1e-300)
         t = np.minimum(steps[rows - 1] * 2.0, np.maximum(t_cap, 1e-14))
         active = np.ones(rows.size, dtype=bool)
@@ -230,13 +254,15 @@ class _PathState:
         acc = ~active  # 60 halvings without acceptance leave a row active
         self.path[rows[acc]] -= t[acc, None] * g[acc]
         self.lrows[rows[acc]] -= t[acc, None] * lg[acc]
+        near = np.union1d(rows[acc] - 1, rows[acc])  # chords at moved rows
+        self.chords[near] = np.linalg.norm(self.path[near + 1] - self.path[near], axis=1)
         steps[rows - 1] = np.where(acc, t, np.maximum(steps[rows - 1] * 0.5, 1e-14))
         accepted[rows - 1] = acc
         return accepted
 
     def resample(self, n_points: int) -> None:
         """Uniform arc-length resampling of path and operator rows."""
-        seg = np.linalg.norm(np.diff(self.path, axis=0), axis=1)
+        seg = self.chords
         total = float(seg.sum())
         if total == 0.0:
             return
@@ -251,6 +277,7 @@ class _PathState:
         new_path[0], new_lrows[0] = self.path[0], self.lrows[0]
         new_path[-1], new_lrows[-1] = self.path[-1], self.lrows[-1]
         self.path, self.lrows = new_path, new_lrows
+        self.chords = np.linalg.norm(np.diff(new_path, axis=0), axis=1)
 
 
 def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
@@ -370,7 +397,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     stall = 0
     for flow_sweeps in range(1, FLOW_MAX_SWEEPS + 1):
         s_pp, node_e = state.node_terms()
-        val, pt = state.crest(s_pp, node_e)
+        val, pt = state.crest(s_pp, node_e, incumbent)
         if val < incumbent:
             incumbent, crest_pt = val, pt
             stall = 0
@@ -417,6 +444,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         flow_sweeps=flow_sweeps,
         newton_steps=newton_steps,
         flow_kernel_rows=state.kernel_rows,
+        crest_segments=state.crest_segments,
         converged=converged,
         grad_tol=float(grad_tol),
         rho=float(rho),

@@ -70,8 +70,8 @@ def table_nonlinearity(t: np.ndarray, f: np.ndarray, p: float,
 
     Beyond the last knot the function is continued with the power growth
     ``f(t_end) * (t / t_end)**(p-1)`` so that superlinearity survives the
-    truncation of the table.  The table must pass :func:`check_hypotheses`
-    before being used in a solve.
+    truncation of the table.  Values must not decrease (F is then convex),
+    and the table must pass :func:`check_hypotheses` before a solve.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -81,6 +81,9 @@ def table_nonlinearity(t: np.ndarray, f: np.ndarray, p: float,
         raise ValueError("table abscissae must start at 0 and increase strictly")
     if f[0] != 0.0:
         raise ValueError("table must have f(0) = 0")
+    if np.any(np.diff(f) < 0.0):
+        i = 1 + int(np.argmax(np.diff(f) < 0.0))
+        raise ValueError(f"table values must not decrease: knot {i} (t={t[i]:g}) drops")
     return NonlinearitySpec(model="table", p=float(p), theta=float(theta),
                             a3=float(a3), table_t=t.copy(), table_f=f.copy())
 

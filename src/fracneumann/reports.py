@@ -24,6 +24,8 @@ __all__ = [
     "write_gnuplot_recipe",
 ]
 
+SOLUTION_KEYS = ("eps", "grad_tol", "residual", "s")  # snapshot header lines
+
 
 def manifest_dict(config_sha256: str) -> dict:
     return {"tool": "fracneumann", "version": __version__,
@@ -56,20 +58,22 @@ def write_csv(path: Path, columns: list[str], rows: list[tuple],
 
 
 def write_solution(path: Path, mesh: DomainMesh, values: np.ndarray,
-                   config_sha256: str, eps: float | None = None) -> None:
+                   config_sha256: str, eps: float | None = None,
+                   grad_tol: float | None = None, residual: float | None = None,
+                   s: float | None = None) -> None:
     """Plain-text solution snapshot.
 
-    Comment lines first (manifest and, when given, the eps the solution was
-    computed at), then the header ``dim h node_count``, then one line per
-    node: coordinates followed by the value, interior block first.
+    Comment lines first (the manifest, then ``# key=value`` for each given
+    eps, grad_tol, residual and s), then the header ``dim h node_count``, then
+    one line per node: coordinates followed by the value, interior block first.
     """
     if values.shape != (mesh.n_total,):
         raise ValueError(
             f"solution has {values.shape} values, mesh has {mesh.n_total} nodes"
         )
     lines = [f"# fracneumann {__version__} config_sha256={config_sha256}"]
-    if eps is not None:
-        lines.append(f"# eps={_fmt(eps)}")
+    given = dict(zip(SOLUTION_KEYS, (eps, grad_tol, residual, s)))
+    lines += [f"# {k}={_fmt(v)}" for k, v in given.items() if v is not None]
     lines.append(f"{mesh.dim} {_fmt(mesh.h)} {mesh.n_total}")
     # repr of a Python float is what _fmt writes for each entry
     rows = np.column_stack([mesh.nodes, values]).tolist()
@@ -82,7 +86,7 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
 
     If ``mesh`` is given, the node count and coordinates are checked against
     it (to 1e-12) so a stored solution cannot silently be replayed on the
-    wrong mesh.
+    wrong mesh.  The header also holds the ``# key=value`` lines it found.
     """
     path = Path(path)
     comments, raw = [], []
@@ -99,9 +103,9 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
         )
     header = {"dim": int(head[0]), "h": float(head[1]), "n_total": int(head[2])}
     for ln in comments:
-        body = ln.lstrip("# ").strip()
-        if body.startswith("eps="):
-            header["eps"] = float(body.split("=", 1)[1])
+        key, sep, value = ln.lstrip("# ").strip().partition("=")
+        if sep and key in SOLUTION_KEYS:
+            header[key] = float(value)
     if len(raw) - 1 != header["n_total"]:
         raise ValueError(
             f"solution file {path}: header says {header['n_total']} nodes, "

@@ -183,7 +183,8 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
         tent_rows.append((eps, tent.c_est, tent.t1, tent.t2, tent.g_max,
                           tent.bound))
         write_solution(out / f"solution_eps_{eps:g}.txt", mesh, report.u,
-                       cfg.config_sha256, eps=eps)
+                       cfg.config_sha256, eps=eps, grad_tol=report.grad_tol,
+                       residual=report.residual, s=cfg.s)
         write_json(out / f"solve_report_eps_{eps:g}.json",
                    {"eps": eps, "level": report.level,
                     "residual": report.residual, "min_u": report.min_u,
@@ -192,6 +193,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
                     "flow_sweeps": report.flow_sweeps,
                     "newton_steps": report.newton_steps,
                     "flow_kernel_rows": report.flow_kernel_rows,
+                    "crest_segments": report.crest_segments,
                     "max_energy_history": report.max_energy_history.tolist(),
                     "converged": report.converged},
                    cfg.config_sha256)
@@ -247,7 +249,8 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
 
     The operator is rebuilt at the eps recorded in the solution snapshot
     (falling back to the config eps for files without one), so the tested
-    equation matches the functional the solution solves.
+    equation matches the functional the solution solves, with the recorded
+    ``grad_tol`` and ``s`` (an ``s`` not the config's raises ``ValueError``).
     """
     from .moser import g_trunc
 
@@ -255,12 +258,14 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     mesh = cfg.build_mesh()
     header, _, u = read_solution(solution_path, mesh)
+    if header.get("s", cfg.s) != cfg.s:
+        raise ValueError(f"solution computed at s={header['s']!r}, config s={cfg.s!r}")
     eps = header.get("eps", cfg.first_eps())
     op = assemble(mesh, cfg.s, eps)
     spec = ProblemSpec(mesh, op, cfg.nonlinearity())
 
     ladder = norm_ladder(spec, u)
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-8
+    grad_tol = header.get("grad_tol", cfg.grad_tol or 1e-8)
     embedding = estimate_embedding_constant(op)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
     cacc = []

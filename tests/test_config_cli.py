@@ -191,6 +191,9 @@ class TestSweepRunner:
             assert len(saved["max_energy_history"]) == saved["flow_sweeps"]
             # frozen path points never reach the kernel
             assert 0 < saved["flow_kernel_rows"] < 19 * saved["flow_sweeps"]
+            # segments that cannot beat the node maximum go unsampled
+            assert saved["crest_segments"] == rep.crest_segments
+            assert 0 < saved["crest_segments"] < saved["flow_sweeps"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP)
@@ -258,6 +261,27 @@ class TestMoserRunner:
         assert summary["sup_estimate"] >= summary["actual_max"]
         assert all(entry["chain_ok"] for entry in summary["caccioppoli"])
 
+    def test_uses_the_recorded_tolerance(self, tmp_path, monkeypatch):
+        cfg = parse_config(QUICK_SWEEP.replace("solver.grad_tol = 1e-8",
+                                               "solver.grad_tol = auto"))
+        assert cfg.grad_tol is None
+        result = run_scaling_sweep(cfg, tmp_path / "sweep")
+        path = tmp_path / "sweep" / "solution_eps_0.15.txt"
+        header, _, _ = read_solution(path)
+        rep = result.reports[-1]
+        assert header["grad_tol"] == rep.grad_tol != 1e-8
+        assert header["residual"] == rep.residual and header["s"] == cfg.s
+        seen = []
+        check = runners.verify_caccioppoli_step
+
+        def recorded(*args, grad_tol, **kwargs):
+            seen.append(grad_tol)
+            return check(*args, grad_tol=grad_tol, **kwargs)
+
+        monkeypatch.setattr(runners, "verify_caccioppoli_step", recorded)
+        assert run_moser_check(cfg, path, tmp_path / "moser")
+        assert seen and all(g == rep.grad_tol for g in seen)
+
     def test_constant_solution_trivially_certified(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP)
         mesh = cfg.build_mesh()
@@ -305,6 +329,20 @@ class TestSolutionFiles:
                           "eps": 0.25}
         np.testing.assert_array_equal(back, values)
         np.testing.assert_allclose(coords, mesh.nodes, atol=1e-15)
+
+    def test_roundtrip_of_the_solve_values(self, tmp_path):
+        mesh = fn.build_interval_mesh(-1.0, 1.0, 0.1, 2.0)
+        values = np.linspace(-1.0, 1.0, mesh.n_total)
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, values, "deadbeef", eps=0.25,
+                       grad_tol=3e-9, residual=1.5e-10, s=0.4)
+        assert path.read_text().splitlines()[1:5] == [
+            "# eps=0.25", "# grad_tol=3e-09", "# residual=1.5e-10", "# s=0.4"]
+        header, _, back = read_solution(path, mesh)
+        assert header == {"dim": 1, "h": 0.1, "n_total": mesh.n_total,
+                          "eps": 0.25, "grad_tol": 3e-9, "residual": 1.5e-10,
+                          "s": 0.4}
+        np.testing.assert_array_equal(back, values)
 
     def test_bytes_match_per_value_formatting(self, tmp_path):
         mesh = fn.build_box_mesh(((0.0, 1.0), (0.0, 0.5)), 0.125, 1.2)
@@ -383,6 +421,17 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "error: threshold certificates" in capsys.readouterr().err
+
+    def test_order_mismatch_exit_two(self, quick_cfg_file, tmp_path, capsys):
+        cfg = load_config(quick_cfg_file)
+        mesh = cfg.build_mesh()
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=0.2, s=0.3)
+        rc = main(["moser", "--config", str(quick_cfg_file), "--solution",
+                   str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "s=0.3" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         rc = main(["sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 import fracneumann as fn
 from fracneumann import mountain_pass
 from fracneumann.mountain_pass import (DESCENT_STEP, NEWTON_MAX_STEPS,
-                                       PATH_POINTS, _newton_polish,
-                                       _PathState, _sphere_bound)
+                                       PATH_POINTS, SEGMENT_SAMPLES,
+                                       _newton_polish, _PathState,
+                                       _sphere_bound)
 from fracneumann.operators import _graph_laplacian_apply
 from fracneumann.problem import _reaction, f_eval, fprime_eval
 
@@ -42,6 +43,98 @@ class TestPathEnergies:
             assert abs(got - fn.energy(spec, u)) <= 1e-12 * energy_scale(spec, u)
         val, pt = state.crest(s_pp, node_e)
         assert abs(val - fn.energy(spec, pt)) <= 1e-12 * energy_scale(spec, pt)
+
+
+def _random_path(spec, rng, points):
+    """A random path whose node amplitudes span 2.5 decades, which puts its
+    points on either side of zero energy."""
+    return (10.0 ** rng.uniform(-1.0, 1.5, (points, 1))
+            * rng.standard_normal((points, spec.mesh.n_total)))
+
+
+def _full_crest(state, s_pp, node_e):
+    """Oracle: the path maximum over the nodes and every sample of every
+    segment; returns (value, point, sample energies)."""
+    k = 1 + int(np.argmax(node_e[1:-1]))
+    best_val, best_pt = float(node_e[k]), state.path[k]
+    p, lr = state.path, state.lrows
+    s_ab = np.einsum("ij,ij->i", p[:-1], lr[1:])
+    t = state.sub_t[:, None]
+    quad = 0.5 * state.e2s * ((1.0 - t) ** 2 * s_pp[None, :-1]
+                              + 2.0 * t * (1.0 - t) * s_ab[None, :]
+                              + t**2 * s_pp[None, 1:])
+    a_i = p[:-1, :state.ni]
+    b_i = p[1:, :state.ni]
+    combos = (1.0 - t[:, :, None]) * a_i[None, :, :] + t[:, :, None] * b_i[None, :, :]
+    vals = quad + _reaction(state.spec, combos)
+    ti, seg = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    if float(vals[ti, seg]) > best_val:
+        tt = state.sub_t[ti]
+        best_val = float(vals[ti, seg])
+        best_pt = (1.0 - tt) * p[seg] + tt * p[seg + 1]
+    return best_val, best_pt.copy(), vals
+
+
+class TestCrest:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           points=st.integers(3, 8))
+    def test_matches_full_sampling_below_the_incumbent(self, spec, seed, points):
+        rng = np.random.default_rng(seed)
+        state = _PathState(spec, _random_path(spec, rng, points))
+        s_pp, node_e = state.node_terms()
+        want, want_pt, _ = _full_crest(state, s_pp, node_e)
+        node_max = float(np.max(node_e[1:-1]))
+        val, pt = state.crest(s_pp, node_e)
+        assert val == want and np.array_equal(pt, want_pt)
+        incumbents = [np.nextafter(x, d) for x in (np.inf, want, node_max)
+                      for d in (-np.inf, x, np.inf)]
+        spread = abs(want) + abs(node_max)
+        incumbents += list(want + spread * rng.standard_normal(4))
+        incumbents += list(rng.uniform(min(node_max, want), max(node_max, want), 2))
+        for incumbent in incumbents:
+            before = state.crest_segments
+            val, pt = state.crest(s_pp, node_e, incumbent)
+            if want < incumbent:
+                assert val == want and np.array_equal(pt, want_pt)
+            else:
+                assert val >= incumbent  # no improvement
+            if node_max >= incumbent:
+                assert state.crest_segments == before  # nothing sampled
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           points=st.integers(3, 8), table=st.booleans())
+    def test_samples_lie_below_their_bound(self, spec, seed, points, table):
+        rng = np.random.default_rng(seed)
+        if table:  # a random nondecreasing table: F is convex
+            knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, 6))])
+            vals = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, 6))])
+            spec = fn.ProblemSpec(spec.mesh, spec.op, fn.table_nonlinearity(
+                knots, vals, p=spec.nonlinearity.p, theta=2.1))
+        state = _PathState(spec, _random_path(spec, rng, points))
+        s_pp, node_e = state.node_terms()
+        _, _, vals = _full_crest(state, s_pp, node_e)
+        _, bound = state.sample_terms(s_pp, node_e)
+        assert vals.shape == bound.shape == (SEGMENT_SAMPLES, points - 1)
+        assert np.all(vals <= bound)
+
+
+class TestChords:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           points=st.integers(3, 8))
+    def test_stored_chords_are_the_path_chords(self, spec, seed, points):
+        rng = np.random.default_rng(seed)
+        state = _PathState(spec, _random_path(spec, rng, points))
+        steps = rng.uniform(1e-3, 1.0, points - 2)
+        for _ in range(3):
+            state.flow_step(steps, *state.node_terms())
+            want = np.linalg.norm(np.diff(state.path, axis=0), axis=1)
+            assert np.array_equal(state.chords, want)
+            state.resample(points)
+            want = np.linalg.norm(np.diff(state.path, axis=0), axis=1)
+            assert np.array_equal(state.chords, want)
 
 
 def _full_stack_flow_step(state, steps):
@@ -94,10 +187,8 @@ class TestFlowStep:
     @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
            points=st.integers(3, 8))
     def test_matches_full_stack_step(self, spec, seed, points):
-        # amplitudes over 2.5 decades put points on either side of zero energy
         rng = np.random.default_rng(seed)
-        path = (10.0 ** rng.uniform(-1.0, 1.5, (points, 1))
-                * rng.standard_normal((points, spec.mesh.n_total)))
+        path = _random_path(spec, rng, points)
         steps = rng.uniform(1e-3, 1.0, points - 2)
         state, oracle = _PathState(spec, path), _PathState(spec, path.copy())
         oracle_steps = steps.copy()

@@ -50,6 +50,14 @@ class TestNonlinearityValues:
         # beyond the table the power growth continues
         assert fn.f_eval(table, 20.0) == pytest.approx(400.0, rel=1e-5)
 
+    def test_decreasing_table_rejected(self):
+        # a decreasing f makes F non-convex, which the path crest's bound
+        # cannot allow
+        with pytest.raises(ValueError, match=r"knot 2 \(t=2\) drops"):
+            fn.table_nonlinearity(np.array([0.0, 1.0, 2.0, 3.0]),
+                                  np.array([0.0, 1.0, 0.5, 2.0]),
+                                  p=3.0, theta=2.5)
+
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(2.2, 5.0),
            t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
