@@ -39,6 +39,7 @@ from .problem import (
     energy_gradient,
     f_eval,
     fprime_eval,
+    _point_terms,
     _reaction,
 )
 from .tent import TentThresholds, thresholds
@@ -371,14 +372,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
-    e_energy = energy(spec, e)
+    e_energy, e_norm_sq, e_grad = _point_terms(spec, e)
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
     s_const = (estimate_embedding_constant(op) if sobolev_constant is None
                else float(sobolev_constant))
     rho, delta = _sphere_bound(spec, s_const)
-    e_norm = bilinear_form(op, e, e) ** 0.5
+    e_norm = e_norm_sq ** 0.5
     if e_norm <= rho:
         raise RuntimeError(
             f"endpoint norm {e_norm:.6g} does not clear the sphere radius {rho:.6g}"
@@ -386,7 +387,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
 
     grad_tol = cfg.grad_tol
     if grad_tol is None:
-        grad_tol = 1e-8 * float(np.max(np.abs(energy_gradient(spec, e))))
+        grad_tol = 1e-8 * float(np.max(np.abs(e_grad)))
 
     state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
 
@@ -420,8 +421,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
 
-    level = energy(spec, u)
-    res = float(np.max(np.abs(energy_gradient(spec, u))))
+    level, norm_sq, grad = _point_terms(spec, u)
+    res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
     ni = spec.mesh.n_interior
     ui = u[:ni]
@@ -439,7 +440,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
         residual=res,
         min_u=float(np.min(ui)),
         energy_vs_constant=float(level / const_level),
-        norm_sq=float(bilinear_form(op, u, u)),
+        norm_sq=norm_sq,
         iterations=flow_sweeps + newton_steps,
         flow_sweeps=flow_sweeps,
         newton_steps=newton_steps,
@@ -472,10 +473,13 @@ def nonnegativity_certificate(spec: ProblemSpec, u: np.ndarray) -> tuple[float, 
 def euler_identity_residual(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float]:
     """Residual and scale of the critical-point identity
     ``||u||^2 = integral of f(u) u``."""
+    return _euler_terms(spec, u, bilinear_form(spec.op, u, u))
+
+
+def _euler_terms(spec: ProblemSpec, u: np.ndarray, norm_sq: float):
+    """:func:`euler_identity_residual` given ``norm_sq = ||u||^2``."""
     ni = spec.mesh.n_interior
-    vol = spec.mesh.cell_volume
-    norm_sq = bilinear_form(spec.op, u, u)
-    rhs = vol * float(f_eval(spec.nonlinearity, u[:ni]) @ u[:ni])
+    rhs = spec.mesh.cell_volume * float(f_eval(spec.nonlinearity, u[:ni]) @ u[:ni])
     return abs(norm_sq - rhs), max(abs(norm_sq), abs(rhs))
 
 
@@ -502,7 +506,7 @@ def apriori_norm_certificate(specs, reports) -> bool:
     c_fit = max(r.level / sp.eps**sp.dim for sp, r in zip(specs, reports))
     k0 = factor * c_fit
     for sp, rep in zip(specs, reports):
-        resid, scale = euler_identity_residual(sp, rep.u)
+        resid, scale = _euler_terms(sp, rep.u, rep.norm_sq)
         if resid > 10.0 * rep.grad_tol * max(scale, 1.0):
             return False
         if rep.norm_sq > (k0 * sp.eps**sp.dim * (1.0 + 1e-9)

@@ -205,8 +205,10 @@ def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     uc = _centered(u)
     ni = op.n_interior
     ui, ue = uc[..., :ni], uc[..., ni:]
-    wu = np.concatenate([ui @ op.w_ii + ue @ op.w_ie.T, ui @ op.w_ie], axis=-1)
-    return op.row_sums * uc - wu
+    out = op.row_sums * uc
+    out[..., :ni] -= ui @ op.w_ii + ue @ op.w_ie.T
+    out[..., ni:] -= ui @ op.w_ie
+    return out
 
 
 def _flux(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -286,12 +288,23 @@ def _pairing(op: FormOperator, v: np.ndarray, f: np.ndarray):
             + vol * _dot(v[..., ni:], f[..., ni:]))
 
 
-def _green_terms(op: FormOperator, u: np.ndarray, v: np.ndarray):
-    """(residual, scale) of the Green identity from the seminorm form and
-    one flux of ``u``: two kernel applies, per function or per stack."""
-    flux = _flux(op, u)
-    return (abs(seminorm_form(op, u, v) - _pairing(op, v, flux)),
-            _pairing(op, np.abs(v), np.abs(flux)))
+def _identity_terms(op: FormOperator, lap: np.ndarray, uv=None):
+    """(Gauss, Green) (residual, scale) terms from the kernel applies ``lap``
+    of grid functions: Gauss per function and, given them as a ``(..., 2,
+    n)`` stack ``uv`` of pairs ``(u, v)``, Green per pair (else None)."""
+    ni = op.n_interior
+    vol = op.mesh.cell_volume
+
+    def total(f: np.ndarray):
+        return vol * f[..., :ni].sum(-1) + vol * f[..., ni:].sum(-1)
+
+    flux = lap / vol
+    gauss = abs(total(flux)), total(np.abs(flux))
+    if uv is None:
+        return gauss, None
+    u, v, fu = uv[..., 0, :], uv[..., 1, :], flux[..., 0, :]
+    return gauss, (abs(_dot(_centered(u), lap[..., 1, :]) - _pairing(op, v, fu)),
+                   _pairing(op, np.abs(v), np.abs(fu)))
 
 
 def check_integration_by_parts(op: FormOperator, u: np.ndarray,
@@ -304,9 +317,10 @@ def check_integration_by_parts(op: FormOperator, u: np.ndarray,
     on the other.  Sharing one weight set makes the residual pure roundoff.
     Stacks of ``u`` and ``v`` give one residual per row.
     """
-    u = _check_size(op, u, stack=True)
-    v = _check_size(op, v, "v", stack=True)
-    return _scalar(_green_terms(op, u, v)[0])
+    uv = np.stack([_check_size(op, u, stack=True),
+                   _check_size(op, v, "v", stack=True)], axis=-2)
+    lap = np.stack([_graph_laplacian_apply(op, w) for w in np.moveaxis(uv, -2, 0)], -2)
+    return _scalar(_identity_terms(op, lap, uv)[1][0])
 
 
 def ibp_scale(op: FormOperator, u: np.ndarray,
@@ -317,18 +331,6 @@ def ibp_scale(op: FormOperator, u: np.ndarray,
     return _scalar(_pairing(op, np.abs(v), np.abs(_flux(op, u))))
 
 
-def _gauss_terms(op: FormOperator, u: np.ndarray):
-    """(residual, scale) of the Gauss identity from one flux of ``u``."""
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-
-    def total(f: np.ndarray):
-        return vol * f[..., :ni].sum(-1) + vol * f[..., ni:].sum(-1)
-
-    flux = _flux(op, u)
-    return abs(total(flux)), total(np.abs(flux))
-
-
 def check_divergence(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
     """Residual of the discrete Gauss identity
 
@@ -337,11 +339,13 @@ def check_divergence(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
 
     one per row for a stack.
     """
-    return _scalar(_gauss_terms(op, _check_size(op, u, stack=True))[0])
+    lap = _graph_laplacian_apply(op, _check_size(op, u, stack=True))
+    return _scalar(_identity_terms(op, lap)[0][0])
 
 
 def divergence_scale(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
-    return _scalar(_gauss_terms(op, _check_size(op, u, stack=True))[1])
+    lap = _graph_laplacian_apply(op, _check_size(op, u, stack=True))
+    return _scalar(_identity_terms(op, lap)[0][1])
 
 
 def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import DomainMesh
-from .operators import (FormOperator, critical_exponent, seminorm_form,
+from .operators import (FormOperator, critical_exponent, _centered,
                         _check_size, _graph_laplacian_apply)
 
 __all__ = [
@@ -287,9 +287,7 @@ def energy(spec: ProblemSpec, u: np.ndarray) -> float:
     with the quadratic part realised through the shared weight set so the
     decomposition ``energy = 0.5 ||u||^2 - integral F(u)`` is exact.
     """
-    u = _check_size(spec.op, u)
-    quad = 0.5 * spec.eps ** (2.0 * spec.s) * seminorm_form(spec.op, u, u)
-    return quad + float(_reaction(spec, u[:spec.mesh.n_interior]))
+    return _point_terms(spec, _check_size(spec.op, u))[0]
 
 
 def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -301,13 +299,26 @@ def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     exactly at discrete critical points (constant solutions included).
     """
     u = _check_size(spec.op, u)
-    op = spec.op
+    return _gradient(spec, u, _graph_laplacian_apply(spec.op, u))
+
+
+def _gradient(spec: ProblemSpec, u: np.ndarray, lu: np.ndarray) -> np.ndarray:
+    """:func:`energy_gradient` from the kernel apply ``lu`` of ``u``."""
     ni = spec.mesh.n_interior
-    vol = spec.mesh.cell_volume
-    grad = (spec.eps ** (2.0 * op.s) / vol) * _graph_laplacian_apply(op, u)
-    ui = u[:ni]
-    grad[:ni] += ui - f_eval(spec.nonlinearity, ui)
+    grad = (spec.eps ** (2.0 * spec.s) / spec.mesh.cell_volume) * lu
+    grad[:ni] += u[:ni] - f_eval(spec.nonlinearity, u[:ni])
     return grad
+
+
+def _point_terms(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(:func:`energy`, ``bilinear_form(u, u)``, gradient) of one grid
+    function from one kernel apply; each has the bits of its own call."""
+    ni = spec.mesh.n_interior
+    lu = _graph_laplacian_apply(spec.op, u)
+    e2s, semi = spec.eps ** (2.0 * spec.s), float(_centered(u) @ lu)
+    return (0.5 * e2s * semi + float(_reaction(spec, u[:ni])),
+            e2s * semi + spec.mesh.cell_volume * float(u[:ni] @ u[:ni]),
+            _gradient(spec, u, lu))
 
 
 def weak_residual(spec: ProblemSpec, u: np.ndarray) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import fracneumann as fn
-from fracneumann import mountain_pass, operators, problem
+from fracneumann import mountain_pass, operators, problem, runners
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +74,7 @@ def random_grid_function(mesh, seed):
 def apply_counter(monkeypatch):
     """Records the argument shape of every kernel application made through
     the shared full-mesh apply while the test runs: by the operators, the
-    energy gradient or the path flow."""
+    energy gradient, the path flow or the identity suite."""
     calls = []
     apply = operators._graph_laplacian_apply
 
@@ -82,8 +82,8 @@ def apply_counter(monkeypatch):
         calls.append(np.shape(u))
         return apply(op, u)
 
-    # problem and mountain_pass bind the apply by name
-    for module in (operators, problem, mountain_pass):
+    # problem, mountain_pass and runners bind the apply by name
+    for module in (operators, problem, mountain_pass, runners):
         monkeypatch.setattr(module, "_graph_laplacian_apply", counted)
     return calls
 

@@ -166,9 +166,17 @@ class TestIdentitySuite:
         monkeypatch.setattr(operators, "_reduced_matrix", unused)
         cfg = load_config(CONFIGS[0].parent / "identities_2d.cfg")
         assert run_identity_suite(cfg, tmp_path)
-        assert len(apply_counter) <= 40
+        # 10 stacks of 10 pairs, the constant and the 20 extensions
+        assert len(apply_counter) <= 12
         assert all(len(shape) == 1 or shape[0] <= runners.IDENTITY_STACK
                    for shape in apply_counter)
+
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg = load_config(CONFIGS[0].parent / "identities_2d.cfg")
+        assert run_identity_suite(cfg, tmp_path / "a")
+        assert run_identity_suite(cfg, tmp_path / "b")
+        assert (tmp_path / "a" / "identities.json").read_bytes() \
+            == (tmp_path / "b" / "identities.json").read_bytes()
 
 
 class TestSweepRunner:
@@ -202,6 +210,33 @@ class TestSweepRunner:
         for f in sorted((tmp_path / "a").iterdir()):
             other = tmp_path / "b" / f.name
             assert f.read_bytes() == other.read_bytes(), f.name
+
+    def test_endpoint_and_solution_applied_once(self, tmp_path, apply_counter,
+                                                monkeypatch):
+        # outside the flow and Newton, a solve and its a-priori certificate
+        # apply the kernel to the endpoint once and to the solution once
+        def tally(owner, name, counts):
+            orig = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                start = len(apply_counter)
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    counts.append(len(apply_counter) - start)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        outer, inner = [], []
+        tally(runners, "mountain_pass_solve", outer)
+        tally(runners, "apriori_norm_certificate", outer)
+        tally(mountain_pass._PathState, "__init__", inner)
+        tally(mountain_pass._PathState, "flow_step", inner)
+        tally(mountain_pass, "_newton_polish", inner)
+        cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
+        assert run_scaling_sweep(cfg, tmp_path).certificates_ok
+        assert len(outer) == len(cfg.eps_list) + 1
+        assert sum(outer) - sum(inner) <= 2 * len(cfg.eps_list)
 
     def test_auto_tolerance_sweep_certifies(self, tmp_path):
         # the a-priori bound allows the Euler residual the auto tolerance

@@ -12,12 +12,32 @@ from scipy import special
 import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
-from fracneumann.operators import (_centered, _flux, _gauss_terms,
-                                   _graph_laplacian_apply, _green_terms,
-                                   _reduced_matrix, _regional_seminorm,
-                                   divergence_scale, ibp_scale)
+from fracneumann.operators import (_centered, _flux, _graph_laplacian_apply,
+                                   _identity_terms, _reduced_matrix,
+                                   _regional_seminorm, divergence_scale,
+                                   ibp_scale)
 
 from conftest import dense_weights, random_grid_function, small_operators
+
+
+def shared_pass(op, u, v):
+    """Gauss and Green terms of ``(u, v)`` (one pair or stacks of pairs) from
+    one kernel apply to the rows ``u0, v0, u1, v1, ...``, as the identity
+    suite takes them."""
+    uv = np.stack([u, v], axis=-2)
+    n = uv.shape[-1]
+    lap = _graph_laplacian_apply(op, uv.reshape(-1, n)).reshape(uv.shape)
+    return _identity_terms(op, lap, uv)
+
+
+def concatenating_apply(op, u):
+    """The full-mesh apply as it was written before it became in-place: the
+    interior and collar products concatenated, then subtracted at once."""
+    uc = _centered(u)
+    ni = op.n_interior
+    ui, ue = uc[..., :ni], uc[..., ni:]
+    wu = np.concatenate([ui @ op.w_ii + ue @ op.w_ie.T, ui @ op.w_ie], axis=-1)
+    return op.row_sums * uc - wu
 
 
 def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
@@ -257,6 +277,20 @@ class TestSharedApply:
         assert np.all(np.abs(batched - pairwise) <= tol)
 
     @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(0, 5), constant_row=st.booleans())
+    def test_in_place_matches_concatenating_formula(self, op, seed, n_rows,
+                                                    constant_row):
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, op.n_total) if n_rows else (op.n_total,)
+        u = 10.0 * rng.standard_normal(shape)
+        if constant_row:
+            u[..., :] = u[..., :1]
+        got = _graph_laplacian_apply(op, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, concatenating_apply(op, u))
+
+    @settings(max_examples=60, deadline=None)
     @given(op=small_operators(),
            values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4))
     def test_constant_rows_give_exact_zero(self, op, values):
@@ -398,10 +432,10 @@ class TestIdentities:
         u, v = rng.standard_normal((2, k, op.n_total))
         if constant_row:
             u[0] = 1.7  # exact zeros on both paths
-        gauss = (lambda u, v: _gauss_terms(op, u),
+        gauss = (lambda u, v: tuple(x[..., 0] for x in shared_pass(op, u, v)[0]),
                  lambda u, v: (fn.check_divergence(op, u),
                                divergence_scale(op, u)))
-        green = (lambda u, v: _green_terms(op, u, v),
+        green = (lambda u, v: shared_pass(op, u, v)[1],
                  lambda u, v: (fn.check_integration_by_parts(op, u, v),
                                ibp_scale(op, u, v)))
         for terms in gauss + green:
@@ -427,6 +461,27 @@ class TestIdentities:
                           <= 1e-13 * flux_scale * np.max(np.abs(u[i])))
             assert np.all(np.abs(ext[i] - fn.exterior_extension(op, w[i]))
                           <= 1e-14 * np.max(np.abs(w[i])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 5))
+    def test_shared_pass_matches_the_public_checks(self, op, seed, k):
+        # one apply to the rows u0, v0, u1, v1, ... gives the Gauss terms of
+        # every row and the Green terms of every pair
+        uv = np.random.default_rng(seed).standard_normal((k, 2, op.n_total))
+        (g_res, g_scale), (r_res, r_scale) = shared_pass(op, uv[:, 0], uv[:, 1])
+        assert g_res.shape == g_scale.shape == (k, 2)
+        assert r_res.shape == r_scale.shape == (k,)
+        for i in range(k):
+            for j in range(2):
+                scale = divergence_scale(op, uv[i, j])
+                assert abs(g_res[i, j] - fn.check_divergence(op, uv[i, j])) \
+                    <= 1e-15 * scale
+                assert abs(g_scale[i, j] - scale) <= 1e-13 * scale
+            scale = ibp_scale(op, uv[i, 0], uv[i, 1])
+            resid = fn.check_integration_by_parts(op, uv[i, 0], uv[i, 1])
+            assert abs(r_res[i] - resid) <= 1e-15 * scale
+            assert abs(r_scale[i] - scale) <= 1e-13 * scale
 
     def test_single_function_gives_float_with_unchanged_bits(self, op_2d):
         u = random_grid_function(op_2d.mesh, 7)
