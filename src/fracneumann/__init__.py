@@ -28,7 +28,6 @@ from .problem import (
     energy_gradient,
     f_eval,
     power_nonlinearity,
-    table_nonlinearity,
     weak_residual,
 )
 from .tent import K_q, TentThresholds, g_of_t, g_prime, phi_eps, solve_sigma, thresholds

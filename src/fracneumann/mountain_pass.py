@@ -13,14 +13,15 @@ endgame that plain descent lacks near a saddle.
 
 Certificates attached to a solve:
   * level positivity against the explicit sphere bound
-    ``delta = rho^2 (a - A rho^(p-2))`` with ``a = 1/2 - eta`` and
+    ``delta = rho^2 (a - A rho^(p-2))`` with ``a = SPHERE_A`` and
     ``A = S^2 eps^(-2s)``, where ``S`` is the constant of the scaled embedding
     ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``
     (:func:`~fracneumann.operators.estimate_embedding_constant`, the default
     and what the sweep passes; the Moser chain checks use the same ``S``);
   * nonnegativity via the energy of the negative part;
-  * non-constancy via the ratio of the level to the best constant-solution
-    energy.
+  * non-constancy via the ratio of the level to the energy
+    ``(1/2 - 1/p) |domain|`` of the constant solution 1, the only positive
+    fixed point of f.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .operators import (bilinear_form, estimate_embedding_constant,
                         _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
-    check_hypotheses,
     energy,
     energy_gradient,
     f_eval,
@@ -58,6 +58,9 @@ CONSTANT_CAPTURE_TOL = 1e-8
 SEGMENT_SAMPLES = 7
 FLOW_STALL_WINDOW = 30
 FLOW_MAX_SWEEPS = 2000
+# a = 1/2 - eta of the sphere bound, for the growth bound
+# |f(t)| <= eta t + t**(p-1) with eta = 1/4 (the power model allows any eta >= 0)
+SPHERE_A = 0.5 - 0.25
 NEWTON_MAX_STEPS = 200
 PATH_POINTS = 21
 DESCENT_STEP = 0.5
@@ -125,13 +128,10 @@ def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
     rho is taken at half the zero of ``a - A rho^(p-2)`` so delta stays
     strictly positive.
     """
-    nl = spec.nonlinearity
-    a = 0.5 - nl.eta
-    if a <= 0.0:
-        raise ValueError("growth-bound eta must be below 1/2 for the sphere bound")
+    p, a = spec.nonlinearity.p, SPHERE_A
     big_a = embedding**2 * spec.eps ** (-2.0 * spec.s)
-    rho = 0.5 * (a / big_a) ** (1.0 / (nl.p - 2.0))
-    delta = rho**2 * (a - big_a * rho ** (nl.p - 2.0))
+    rho = 0.5 * (a / big_a) ** (1.0 / (p - 2.0))
+    delta = rho**2 * (a - big_a * rho ** (p - 2.0))
     return rho, delta
 
 
@@ -185,7 +185,7 @@ class _PathState:
     def sample_terms(self, s_pp: np.ndarray,
                      node_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(quadratic part, bound) of every segment sample's energy, shaped
-        (sample, segment): ``F`` (convex, as ``f`` must be nondecreasing) lies
+        (sample, segment): ``F`` (convex, as ``f`` is nondecreasing) lies
         above its tangents at the segment ends; 1e-9 slack covers roundoff."""
         p, vol, pi = self.path, self.vol, self.path[:, :self.ni]
         s_ab = np.einsum("ij,ij->i", p[:-1], self.lrows[1:])
@@ -430,16 +430,12 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     nonconstancy = float(np.std(ui) / abs(mean)) if mean != 0.0 else np.inf
     constant_capture = bool(nonconstancy < CONSTANT_CAPTURE_TOL and converged)
 
-    hyp = check_hypotheses(spec.nonlinearity)
-    const_level = min(spec.constant_energy(mu) for mu in hyp.fixed_points) \
-        if hyp.fixed_points else np.inf
-
     return SolveReport(
         u=u,
         level=level,
         residual=res,
         min_u=float(np.min(ui)),
-        energy_vs_constant=float(level / const_level),
+        energy_vs_constant=float(level / spec.constant_energy(1.0)),
         norm_sq=norm_sq,
         iterations=flow_sweeps + newton_steps,
         flow_sweeps=flow_sweeps,
@@ -488,21 +484,19 @@ def apriori_norm_certificate(specs, reports) -> bool:
 
     Checks per solution that ``||u||^2 = integral f(u) u`` holds within
     ``10 * grad_tol * scale``, fits ``K0 = factor * C_fit`` with
-    ``factor = 1 / (1/2 - 1/theta)`` and ``C_fit`` the largest
+    ``factor = 1 / (1/2 - 1/p)`` and ``C_fit`` the largest
     ``level / eps**dim`` over the sweep, and verifies
-    ``||u||^2 <= K0 eps**dim + (factor/theta) resid`` for every entry, with
-    ``resid`` the residual of that identity.  ``theta F <= t f`` gives
-    ``||u||^2 <= factor level + (factor/theta) resid``, so the entry with
+    ``||u||^2 <= K0 eps**dim + (factor/p) resid`` for every entry, with
+    ``resid`` the residual of that identity.  ``p F = t f`` gives
+    ``||u||^2 <= factor level + (factor/p) resid``, so the entry with
     the largest level ratio meets the bound with equality up to that slack.
 
-    Accepts a single (spec, report) pair or parallel sequences.
+    Takes parallel sequences of specs and their reports.
     """
-    if isinstance(specs, ProblemSpec):
-        specs, reports = [specs], [reports]
     if len(specs) != len(reports) or not specs:
         raise ValueError("need one report per problem spec")
-    theta = specs[0].nonlinearity.theta
-    factor = 1.0 / (0.5 - 1.0 / theta)
+    p = specs[0].nonlinearity.p
+    factor = 1.0 / (0.5 - 1.0 / p)
     c_fit = max(r.level / sp.eps**sp.dim for sp, r in zip(specs, reports))
     k0 = factor * c_fit
     for sp, rep in zip(specs, reports):
@@ -510,6 +504,6 @@ def apriori_norm_certificate(specs, reports) -> bool:
         if resid > 10.0 * rep.grad_tol * max(scale, 1.0):
             return False
         if rep.norm_sq > (k0 * sp.eps**sp.dim * (1.0 + 1e-9)
-                          + factor / theta * resid):
+                          + factor / p * resid):
             return False
     return True

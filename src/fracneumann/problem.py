@@ -1,16 +1,15 @@
-"""Nonlinearity models, the energy functional, and its gradient.
+"""The power nonlinearity, the energy functional, and its gradient.
 
-The default nonlinearity is the pure power ``f(t) = max(t, 0)**(p-1)`` with
-``2 < p < 2N/(N-2s)``.  Arbitrary tabulated nonlinearities are supported via
-linear interpolation; both flavours are screened by :func:`check_hypotheses`,
-which probes the superlinear/subcritical growth conditions numerically and
-computes the constant-solution energy gap that rules constants out as
-mountain-pass candidates.
+The reaction term is the model problem ``f(t) = max(t, 0)**(p-1)`` with
+``2 < p < 2N/(N-2s)``; its primitive, the constant-solution energy and the
+superlinearity identity ``p F(t) = t f(t)`` are in closed form.
+:func:`check_hypotheses` screens the growth conditions numerically on a log
+grid; the solver does not call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "ProblemSpec",
     "HypothesisReport",
     "power_nonlinearity",
-    "table_nonlinearity",
     "f_eval",
     "F_eval",
     "fprime_eval",
@@ -36,90 +34,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """A reaction term f with primitive F and its hypothesis data.
+    """The power reaction term ``f(t) = max(t, 0)**(p-1)`` with primitive
+    ``F(t) = max(t, 0)**p / p``.  It satisfies ``p F(t) = t f(t)``, its only
+    positive fixed point is 1, and f is nondecreasing, so F is convex."""
 
-    ``theta`` and ``a3`` witness the superlinearity condition
-    ``theta F(t) <= t f(t)`` for ``t >= a3``; ``alpha_f5`` is the positive
-    infimum of ``t^2/2 - F(t)`` over the positive fixed points of f; the pair
-    ``(eta, c_eta)`` witnesses the growth bound
-    ``|f(t)| <= eta t + c_eta t**(p-1)``.
-    """
-
-    model: str
     p: float
-    theta: float
-    a3: float = 0.0
-    alpha_f5: float | None = None
-    eta: float = 0.25
-    c_eta: float = 1.0
-    table_t: np.ndarray | None = field(default=None, repr=False)
-    table_f: np.ndarray | None = field(default=None, repr=False)
 
 
 def power_nonlinearity(p: float) -> NonlinearitySpec:
-    """Pure power ``f(t) = max(t,0)**(p-1)``: theta = p, a3 = 0, Fix(f) = {1}."""
+    """Pure power ``f(t) = max(t,0)**(p-1)``, checked for ``p > 2``."""
     if p <= 2.0:
         raise ValueError(f"power exponent must satisfy p > 2, got p={p}")
-    return NonlinearitySpec(model="power", p=float(p), theta=float(p), a3=0.0,
-                            alpha_f5=0.5 - 1.0 / p)
-
-
-def table_nonlinearity(t: np.ndarray, f: np.ndarray, p: float,
-                       theta: float, a3: float = 0.0) -> NonlinearitySpec:
-    """Linearly interpolated nonlinearity from samples on t >= 0.
-
-    Beyond the last knot the function is continued with the power growth
-    ``f(t_end) * (t / t_end)**(p-1)`` so that superlinearity survives the
-    truncation of the table.  Values must not decrease (F is then convex),
-    and the table must pass :func:`check_hypotheses` before a solve.
-    """
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if t.ndim != 1 or t.shape != f.shape or t.size < 2:
-        raise ValueError("table needs matching 1D arrays with at least 2 knots")
-    if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("table abscissae must start at 0 and increase strictly")
-    if f[0] != 0.0:
-        raise ValueError("table must have f(0) = 0")
-    if np.any(np.diff(f) < 0.0):
-        i = 1 + int(np.argmax(np.diff(f) < 0.0))
-        raise ValueError(f"table values must not decrease: knot {i} (t={t[i]:g}) drops")
-    return NonlinearitySpec(model="table", p=float(p), theta=float(theta),
-                            a3=float(a3), table_t=t.copy(), table_f=f.copy())
+    return NonlinearitySpec(p=float(p))
 
 
 def f_eval(spec: NonlinearitySpec, t):
     """Evaluate f, vectorized; zero on the negative axis."""
     t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    if spec.model == "power":
-        out = tp ** (spec.p - 1.0)
-    else:
-        knots, vals = spec.table_t, spec.table_f
-        out = np.interp(tp, knots, vals)
-        beyond = tp > knots[-1]
-        if np.any(beyond):
-            tail = vals[-1] * np.where(beyond, tp / knots[-1], 1.0) ** (spec.p - 1.0)
-            out = np.where(beyond, tail, out)
+    out = np.maximum(t, 0.0) ** (spec.p - 1.0)
     return out if out.ndim else float(out)
 
 
 def fprime_eval(spec: NonlinearitySpec, t):
     """Derivative of f (one-sided at the origin), vectorized."""
     t = np.asarray(t, dtype=float)
-    tp = np.maximum(t, 0.0)
-    if spec.model == "power":
-        out = np.where(t > 0.0, (spec.p - 1.0) * tp ** (spec.p - 2.0), 0.0)
-    else:
-        knots, vals = spec.table_t, spec.table_f
-        slopes = np.diff(vals) / np.diff(knots)
-        idx = np.clip(np.searchsorted(knots, tp, side="right") - 1, 0, slopes.size - 1)
-        out = np.where(t > 0.0, slopes[idx], 0.0)
-        beyond = tp > knots[-1]
-        if np.any(beyond):
-            tail = (vals[-1] * (spec.p - 1.0) / knots[-1]
-                    * np.where(beyond, tp / knots[-1], 1.0) ** (spec.p - 2.0))
-            out = np.where(beyond, tail, out)
+    out = np.where(t > 0.0, (spec.p - 1.0) * np.maximum(t, 0.0) ** (spec.p - 2.0), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -127,24 +66,9 @@ def F_eval(spec: NonlinearitySpec, t):
     """Exact primitive of f with F(0) = 0, vectorized."""
     t = np.asarray(t, dtype=float)
     tp = np.maximum(t, 0.0)
-    if spec.model == "power":
-        # tp**(p-1) is a plain square for the default p = 3, where tp**p
-        # would run the general pow
-        out = tp * tp ** (spec.p - 1.0) / spec.p
-    else:
-        knots, vals = spec.table_t, spec.table_f
-        seg = np.concatenate([[0.0], np.cumsum(np.diff(knots) * (vals[:-1] + vals[1:]) / 2.0)])
-        idx = np.clip(np.searchsorted(knots, tp, side="right") - 1, 0, knots.size - 2)
-        t0, t1 = knots[idx], knots[idx + 1]
-        f0, f1 = vals[idx], vals[idx + 1]
-        frac = np.clip((tp - t0) / (t1 - t0), 0.0, None)
-        fm = f0 + (f1 - f0) * np.clip(frac, 0.0, 1.0)
-        out = seg[idx] + (tp - t0) * (f0 + fm) / 2.0
-        beyond = tp > knots[-1]
-        if np.any(beyond):
-            ratio = np.where(beyond, tp / knots[-1], 1.0)
-            tail = seg[-1] + vals[-1] * knots[-1] / spec.p * (ratio**spec.p - 1.0)
-            out = np.where(beyond, tail, out)
+    # tp**(p-1) is a plain square for the default p = 3, where tp**p
+    # would run the general pow
+    out = tp * tp ** (spec.p - 1.0) / spec.p
     return out if out.ndim else float(out)
 
 
@@ -195,16 +119,15 @@ def check_hypotheses(spec: NonlinearitySpec, t_max: float = 1e8) -> HypothesisRe
         and f_eval(spec, -1e6) == 0.0
     ratio_zero = float(fs[0] / ts[0])
     ratio_growth = float(fs[-1] / ts[-1] ** (spec.p - 1.0))
-    growth_bounded = bool(np.all(fs / ts ** (spec.p - 1.0) <= 10.0 * max(spec.c_eta, 1.0)))
+    growth_bounded = bool(np.all(fs / ts ** (spec.p - 1.0) <= 10.0))
     # superlinearity: f(t)/t keeps growing over the top decades of the sample
     # (a ratio that levels off, as for asymptotically linear f, fails here)
     slopes = fs / ts
     top = slopes[ts >= ts[-1] * 1e-2]
     superlinear_ok = bool(np.all(np.diff(top) > 0.0)) and top[-1] >= 1.1 * top[0]
 
-    mask = ts >= max(spec.a3, ts[0])
-    theta_ok = bool(np.all(spec.theta * F_eval(spec, ts[mask])
-                           <= ts[mask] * fs[mask] * (1.0 + 1e-12) + 1e-300))
+    theta_ok = bool(np.all(spec.p * F_eval(spec, ts)
+                           <= ts * fs * (1.0 + 1e-12) + 1e-300))
 
     # Fixed points of f on (0, t_max]: the grid zeros of f(t) - t, and a
     # bisection in every grid cell across which its sign changes.

@@ -217,7 +217,6 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     certificates_ok = (all_converged and nonneg_ok and positivity
                        and tent_ok and apriori)
 
-    const_level = float(specs[0].constant_energy(1.0)) if nl.model == "power" else None
     summary = {
         "eps_list": list(cfg.eps_list),
         "all_converged": all_converged,
@@ -225,7 +224,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
                             "ratio": max(level_ratios) / min(level_ratios)},
         "norm_over_epsN": {"min": min(norm_ratios), "max": max(norm_ratios),
                            "ratio": max(norm_ratios) / min(norm_ratios)},
-        "constant_solution_energy": const_level,
+        "constant_solution_energy": float(specs[0].constant_energy(1.0)),
         "smallest_eps_level_vs_constant": reports[-1].energy_vs_constant,
         "nonnegativity_ok": nonneg_ok,
         "level_positivity_ok": positivity,

@@ -150,21 +150,15 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray,
                scan_points: int = 160) -> TentThresholds:
     """Compute the ray-energy thresholds (t1, t2) and the energy bound.
 
-    Only available for the power model, whose superlinearity threshold is
-    explicit: ``f(xi) >= R xi`` exactly when ``xi >= R**(1/(p-2))``.  The
-    slope thresholds are taken at twice their minimal values (R1 = 4 C / K2,
+    The power model's superlinearity threshold is explicit:
+    ``f(xi) >= R xi`` exactly when ``xi >= R**(1/(p-2))``.  The slope
+    thresholds are taken at twice their minimal values (R1 = 4 C / K2,
     R2 = 2 C / K2, with C the measured tent energy ``eps**dim ||phi||^2``)
     so the scan certificates are robust to quadrature error.  The scan
     checks ``g'(t) < 0`` for sampled ``t > t1`` and ``g(t) < 0`` for sampled
     ``t >= t2``; failures are collected, not raised.
     """
-    nl = spec.nonlinearity
-    if nl.model != "power":
-        raise ValueError(
-            "thresholds need the explicit power-model superlinearity "
-            "constant; screen other models separately"
-        )
-    eps, dim, p = spec.eps, spec.dim, nl.p
+    eps, dim, p = spec.eps, spec.dim, spec.nonlinearity.p
     # the one kernel apply; ||phi||^2 as bilinear_form forms it
     semi = eps ** (2.0 * spec.s) * seminorm_form(spec.op, phi, phi)
     phi_i = phi[:spec.mesh.n_interior]

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import fracneumann as fn
-from fracneumann import mountain_pass, operators, runners
+from fracneumann import mountain_pass, operators, problem, runners
 from fracneumann.cli import main
 from fracneumann.config import ConfigError, load_config, parse_config
 from fracneumann.mountain_pass import _sphere_bound
@@ -278,6 +281,31 @@ class TestSweepRunner:
             want = _sphere_bound(spec, fn.estimate_embedding_constant(spec.op))[1]
             assert rep.delta == want
 
+    def test_solve_runs_no_hypothesis_screen(self, tmp_path, monkeypatch):
+        # the constant-solution energy is in closed form, so no solve needs
+        # the log-grid screen for the fixed point 1
+        calls = []
+        screen = problem.check_hypotheses
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(problem, "check_hypotheses", spy)
+        monkeypatch.setattr(mountain_pass, "check_hypotheses", spy, raising=False)
+        assert run_scaling_sweep(parse_config(QUICK_SWEEP), tmp_path).all_converged
+        assert calls == []
+
+    def test_energy_vs_constant_in_closed_form(self, tmp_path):
+        cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
+        result = run_scaling_sweep(cfg, tmp_path)
+        const = result.specs[0].constant_energy(1.0)
+        assert const == pytest.approx((0.5 - 1.0 / cfg.p) * 2.0, rel=1e-15)
+        assert result.summary["constant_solution_energy"] == const
+        for spec, rep in zip(result.specs, result.reports):
+            assert spec.constant_energy(1.0) == const
+            assert rep.energy_vs_constant == rep.level / const
+
     def test_missing_eps_list(self, tmp_path):
         cfg = parse_config(QUICK_SWEEP.replace("eps_list = 0.3, 0.15\n", ""))
         with pytest.raises(ConfigError, match="eps_list"):
@@ -427,6 +455,22 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_exported_names_resolve(self):
+        # every name a module lists in __all__ exists, and every name the
+        # package re-exports is in its module's __all__
+        for info in pkgutil.iter_modules(fn.__path__):
+            mod = importlib.import_module(f"fracneumann.{info.name}")
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), (info.name, name)
+        tree = ast.parse(Path(fn.__file__).read_text())
+        imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+        assert imports
+        for node in imports:
+            mod = importlib.import_module(f"fracneumann.{node.module}")
+            for alias in node.names:
+                assert alias.name in mod.__all__, (node.module, alias.name)
+                assert getattr(fn, alias.name) is getattr(mod, alias.name)
 
     def test_sigma_output(self, capsys):
         assert main(["sigma"]) == 0

@@ -637,6 +637,28 @@ class TestEmbeddingConstant:
         assert np.isfinite(value)
         assert value**2 >= const_quotient * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("mesh, s", [
+        (lambda: fn.build_box_mesh(((0.0, 0.29433414353271564),
+                                    (0.0, 1.1773365741308626)),
+                                   0.29433414353271564, 1.46964370660402),
+         0.5643768476567849),
+        (lambda: fn.build_interval_mesh(-1.409533450875717, 2.371668404244068,
+                                        0.4201335394577539, 5.466084125156978),
+         0.19514725883164763),
+    ], ids=["box", "interval"])
+    def test_stalls_at_the_cap_near_its_limit(self, mesh, s):
+        # two small operators on which the ascent creeps up to its
+        # 2,000-iteration cap: the cap warns, and the capped value is within
+        # 1e-6 of a 40,000-iteration run, which stops on its own test
+        op = fn.assemble(mesh(), s, 1.0)
+        with pytest.warns(RuntimeWarning, match="iteration cap of 2000"):
+            capped = fn.estimate_embedding_constant(op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            converged = fn.estimate_embedding_constant(op, max_iter=40_000)
+        assert capped <= converged
+        assert capped == pytest.approx(converged, rel=1e-6)
+
     def test_witnesses_probe_functions(self, solved_problem):
         # the measured constant makes the scaled embedding inequality hold
         # for the function family that matters: solutions, bumps, constants

@@ -28,8 +28,7 @@ class TestNonlinearityValues:
     def test_growth_bound_sweep(self):
         nl = fn.power_nonlinearity(3.0)
         t = np.logspace(-6, 6, 10_000)
-        assert np.all(np.abs(fn.f_eval(nl, t))
-                      <= nl.eta * t + nl.c_eta * t ** (nl.p - 1.0))
+        assert np.array_equal(fn.f_eval(nl, t), t ** (nl.p - 1.0))
 
     def test_primitive_consistency(self):
         # F' = f by quadrature on a few random intervals
@@ -38,25 +37,6 @@ class TestNonlinearityValues:
             d = 1e-6
             deriv = (fn.F_eval(nl, t + d) - fn.F_eval(nl, t - d)) / (2 * d)
             assert deriv == pytest.approx(fn.f_eval(nl, t), rel=1e-6)
-
-    def test_table_model_matches_power_samples(self):
-        knots = np.linspace(0.0, 10.0, 2001)
-        table = fn.table_nonlinearity(knots, knots**2, p=3.0, theta=3.0)
-        for t in (0.5, 2.0, 7.3):
-            assert fn.f_eval(table, t) == pytest.approx(t**2, rel=1e-5)
-            # F integrates the interpolant, so it only tracks t^3/3 to the
-            # interpolation error of the table
-            assert fn.F_eval(table, t) == pytest.approx(t**3 / 3.0, rel=2e-4)
-        # beyond the table the power growth continues
-        assert fn.f_eval(table, 20.0) == pytest.approx(400.0, rel=1e-5)
-
-    def test_decreasing_table_rejected(self):
-        # a decreasing f makes F non-convex, which the path crest's bound
-        # cannot allow
-        with pytest.raises(ValueError, match=r"knot 2 \(t=2\) drops"):
-            fn.table_nonlinearity(np.array([0.0, 1.0, 2.0, 3.0]),
-                                  np.array([0.0, 1.0, 0.5, 2.0]),
-                                  p=3.0, theta=2.5)
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(2.2, 5.0),
@@ -87,10 +67,10 @@ class TestHypotheses:
         assert report.alpha == pytest.approx(1.0 / 6.0, rel=1e-10)
 
     def test_theta_equality_for_power(self):
-        # theta = p gives theta F(t) = t f(t) exactly
+        # the superlinearity constant theta is p: p F(t) = t f(t)
         nl = fn.power_nonlinearity(3.0)
         t = np.linspace(0.1, 50.0, 100)
-        np.testing.assert_allclose(nl.theta * fn.F_eval(nl, t),
+        np.testing.assert_allclose(nl.p * fn.F_eval(nl, t),
                                    t * fn.f_eval(nl, t), rtol=1e-13)
 
     def test_shallow_power_passes(self):
@@ -99,30 +79,11 @@ class TestHypotheses:
         assert report.superlinear_ok
         assert report.ok
 
-    def test_table_fixed_point_off_the_grid(self):
-        # on [1, 2] the table is f(t) = 3t - 2.75, which meets f(t) = t at
-        # t = 11/8, between two points of the screening grid
-        nl = fn.table_nonlinearity(np.array([0.0, 1.0, 2.0]),
-                                   np.array([0.0, 0.25, 3.25]), p=3.0, theta=2.1)
-        grid = np.logspace(-8, 8, 2000)
-        assert np.min(np.abs(grid - 1.375)) > 1e-3
-        report = fn.check_hypotheses(nl)
-        assert report.fixed_points == pytest.approx([1.375], abs=1e-12)
-        # alpha = t^2/2 - F(t) at t = 11/8, with F(11/8) = 55/128
-        assert report.alpha == pytest.approx(0.9453125 - 0.4296875, rel=1e-12)
-
     def test_bisection_compares_signs(self):
         # g(lo) * g(mid) underflows to 0 here; the sign test still halves
         # toward the root
         root = _bisect(lambda t: (t - 0.3) * 1e-300, 0.0, 1.0, 1e-14)
         assert root == pytest.approx(0.3, abs=1e-14)
-
-    def test_identity_map_rejected(self):
-        # f(t) = t has every positive t fixed and zero energy gap
-        knots = np.linspace(0.0, 1e8, 100)
-        nl = fn.table_nonlinearity(knots, knots.copy(), p=3.0, theta=2.5)
-        with pytest.raises(ValueError, match="constant-solution gap"):
-            fn.check_hypotheses(nl)
 
 
 class TestProblemSpec:

@@ -233,14 +233,6 @@ class TestThresholds:
                               fn.g_prime(spec, phi, ts))
         assert fn.thresholds(spec, phi).c_est == spec.eps**spec.dim * norm_sq
 
-    def test_non_power_model_rejected(self, tent_scene):
-        spec, phi = tent_scene
-        knots = np.linspace(0.0, 100.0, 50)
-        table = fn.table_nonlinearity(knots, knots**2, p=3.0, theta=3.0)
-        bad_spec = fn.ProblemSpec(spec.mesh, spec.op, table)
-        with pytest.raises(ValueError, match="power"):
-            fn.thresholds(bad_spec, phi)
-
     def test_tent_energy_scaling(self):
         # eps^N ||phi_eps||^2 stays within a factor 2 between consecutive
         # halvings and a factor 4 across the sweep
