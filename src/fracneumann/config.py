@@ -2,26 +2,32 @@
 
 The format is deliberately language-neutral: one ``key = value`` pair per
 line, ``#`` comments, dotted section prefixes (``domain.``,
-``nonlinearity.``, ``solver.``).  Every numeric precondition of the
-downstream modules is checked at parse time so misconfigurations fail before
-any assembly starts.
+``nonlinearity.``, ``solver.``).  The domain bound keys of the configured
+``domain.kind`` become ``RunConfig.bounds``, one ``(lo, hi)`` pair per
+dimension, which only the mesh module interprets.  Every numeric
+precondition of the downstream modules is checked at parse time so
+misconfigurations fail before any assembly starts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = ["RunConfig", "parse_config", "load_config", "ConfigError"]
 
+# the bound keys of each domain kind with their defaults, lo then hi per axis
+BOUND_KEYS = {
+    "interval": {"domain.a": -1.0, "domain.b": 1.0},
+    "box": {"domain.ax": 0.0, "domain.bx": 1.0, "domain.ay": 0.0, "domain.by": 1.0},
+}
 KNOWN_KEYS = {
-    "domain.kind", "domain.a", "domain.b",
-    "domain.ax", "domain.bx", "domain.ay", "domain.by",
-    "domain.h", "domain.r_ext",
+    "domain.kind", "domain.h", "domain.r_ext",
     "s", "eps", "eps_list",
     "nonlinearity.p", "solver.grad_tol", "seed",
-}
+}.union(*BOUND_KEYS.values())
 
 
 class ConfigError(ValueError):
@@ -32,13 +38,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Validated run parameters plus the hash of their textual source."""
 
-    domain_kind: str = "interval"
-    a: float = -1.0
-    b: float = 1.0
-    ax: float = 0.0
-    bx: float = 1.0
-    ay: float = 0.0
-    by: float = 1.0
+    bounds: tuple[tuple[float, float], ...] = ((-1.0, 1.0),)
     h: float = 0.01
     r_ext: float | None = None        # None: 5 * diam(domain)
     s: float = 0.25
@@ -51,15 +51,12 @@ class RunConfig:
 
     @property
     def dim(self) -> int:
-        return 1 if self.domain_kind == "interval" else 2
-
-    def diameter(self) -> float:
-        if self.domain_kind == "interval":
-            return self.b - self.a
-        return float(((self.bx - self.ax) ** 2 + (self.by - self.ay) ** 2) ** 0.5)
+        return len(self.bounds)
 
     def resolved_r_ext(self) -> float:
-        return 5.0 * self.diameter() if self.r_ext is None else self.r_ext
+        if self.r_ext is None:
+            return 5.0 * math.dist(*zip(*self.bounds))  # the box diagonal
+        return self.r_ext
 
     def first_eps(self) -> float:
         if self.eps is not None:
@@ -69,12 +66,9 @@ class RunConfig:
         raise ConfigError("no eps configured: set 'eps' or 'eps_list'")
 
     def build_mesh(self):
-        from .mesh import build_box_mesh, build_interval_mesh
+        from .mesh import build_box_mesh
 
-        if self.domain_kind == "interval":
-            return build_interval_mesh(self.a, self.b, self.h, self.resolved_r_ext())
-        return build_box_mesh(((self.ax, self.bx), (self.ay, self.by)),
-                              self.h, self.resolved_r_ext())
+        return build_box_mesh(self.bounds, self.h, self.resolved_r_ext())
 
     def nonlinearity(self):
         from .problem import power_nonlinearity
@@ -123,16 +117,16 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     cfg.config_sha256 = hashlib.sha256(text.encode()).hexdigest()
 
-    if "domain.kind" in pairs:
-        kind = pairs["domain.kind"]
-        if kind not in ("interval", "box"):
-            raise ConfigError(f"domain.kind must be 'interval' or 'box', got '{kind}'")
-        cfg.domain_kind = kind
-    for key, attr in (("domain.a", "a"), ("domain.b", "b"),
-                      ("domain.ax", "ax"), ("domain.bx", "bx"),
-                      ("domain.ay", "ay"), ("domain.by", "by"),
-                      ("domain.h", "h"), ("s", "s"),
-                      ("nonlinearity.p", "p")):
+    kind = pairs.get("domain.kind", "interval")
+    if kind not in BOUND_KEYS:
+        raise ConfigError(f"domain.kind must be 'interval' or 'box', got '{kind}'")
+    stray = sorted(set(pairs) & (set().union(*BOUND_KEYS.values()) - set(BOUND_KEYS[kind])))
+    if stray:
+        raise ConfigError(f"domain.kind = {kind} takes no {', '.join(stray)}")
+    ends = [_parse_float(key, pairs[key]) if key in pairs else default
+            for key, default in BOUND_KEYS[kind].items()]
+    cfg.bounds = tuple(zip(ends[::2], ends[1::2]))
+    for key, attr in (("domain.h", "h"), ("s", "s"), ("nonlinearity.p", "p")):
         if key in pairs:
             setattr(cfg, attr, _parse_float(key, pairs[key]))
     if "domain.r_ext" in pairs:
@@ -154,19 +148,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.h <= 0.0:
-        raise ConfigError(f"domain.h must be positive, got {cfg.h}")
-    if cfg.domain_kind == "interval":
-        if cfg.a >= cfg.b:
-            raise ConfigError(f"interval needs domain.a < domain.b, got ({cfg.a}, {cfg.b})")
-    else:
-        if cfg.ax >= cfg.bx or cfg.ay >= cfg.by:
-            raise ConfigError("box needs domain.ax < domain.bx and domain.ay < domain.by")
-    if cfg.r_ext is not None and cfg.r_ext < cfg.diameter():
-        raise ConfigError(
-            f"domain.r_ext = {cfg.r_ext} is thinner than the domain diameter "
-            f"{cfg.diameter():.6g}; the collar would truncate the kernel too hard"
-        )
+    from .mesh import check_box
+
+    try:
+        check_box(cfg.bounds, cfg.h, cfg.resolved_r_ext())
+    except ValueError as err:
+        raise ConfigError(f"domain: {err}") from None
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"s must lie in (0, 1), got {cfg.s}")
     if cfg.dim <= 2.0 * cfg.s:

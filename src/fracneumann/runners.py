@@ -38,7 +38,7 @@ from .reports import (
     write_json,
     write_solution,
 )
-from .mesh import build_box_mesh, build_interval_mesh
+from .mesh import build_box_mesh
 from .tent import phi_eps, thresholds
 
 __all__ = ["run_identity_suite", "run_scaling_sweep", "run_moser_check",
@@ -47,17 +47,6 @@ __all__ = ["run_identity_suite", "run_scaling_sweep", "run_moser_check",
 IDENTITY_TOL = 1e-12
 N_IDENTITY_FUNCTIONS = 100  # random Green pairs; Gauss checks both members
 IDENTITY_STACK = 20  # rows per kernel apply
-
-
-def _scaled_mesh(cfg: RunConfig, eps: float):
-    """The eps-dilated companion of the configured mesh, for the dilation
-    identity."""
-    r = cfg.resolved_r_ext()
-    if cfg.domain_kind == "interval":
-        return build_interval_mesh(cfg.a / eps, cfg.b / eps, cfg.h / eps, r / eps)
-    return build_box_mesh(((cfg.ax / eps, cfg.bx / eps),
-                           (cfg.ay / eps, cfg.by / eps)),
-                          cfg.h / eps, r / eps)
 
 
 def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
@@ -114,11 +103,10 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
     record("extension_zero_flux",
            float(np.max(np.abs(neumann_derivative(op, ext)))), IDENTITY_TOL)
 
-    if mesh.dim == 1:
-        probe = lambda x: np.cos(np.pi * x[:, 0])
-    else:
-        probe = lambda x: np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
-    resid = verify_scaling_identity(mesh, _scaled_mesh(cfg, eps), cfg.s, eps, probe)
+    probe = lambda x: np.prod(np.cos(np.pi * x), axis=1)
+    scaled = build_box_mesh(np.divide(cfg.bounds, eps), cfg.h / eps,
+                            cfg.resolved_r_ext() / eps)
+    resid = verify_scaling_identity(mesh, scaled, cfg.s, eps, probe)
     record("dilation_identity_relative", resid, 5.0 * cfg.h)
 
     all_pass = all(c["pass"] for c in checks)

@@ -50,17 +50,12 @@ def phi_eps(mesh: DomainMesh, eps: float) -> np.ndarray:
     origin = np.zeros((1, mesh.dim))
     if not bool(mesh.contains(origin)[0]):
         raise ValueError("domain must contain the origin for the tent bump")
-    if float(mesh.distance_to_domain(origin)[0]) == 0.0:
-        d = mesh.domain_descriptor
-        if d["kind"] == "interval":
-            clearance = min(-d["a"], d["b"])
-        else:
-            clearance = min(-d["ax"], d["bx"], -d["ay"], d["by"])
-        if eps > clearance:
-            raise ValueError(
-                f"eps={eps} too large: the ball B_eps(0) leaves the domain "
-                f"(clearance {clearance:.6g})"
-            )
+    clearance = min(-mesh.lo.max(), mesh.hi.min())
+    if eps > clearance:
+        raise ValueError(
+            f"eps={eps} too large: the ball B_eps(0) leaves the domain "
+            f"(clearance {clearance:.6g})"
+        )
     r = np.linalg.norm(mesh.nodes, axis=1)
     return eps ** (-mesh.dim) * np.maximum(1.0 - r / eps, 0.0)
 

@@ -89,20 +89,24 @@ def apply_counter(monkeypatch):
 
 
 @st.composite
-def small_operators(draw):
-    """Dense operators on small random 1D and 2D meshes, random order s."""
+def small_meshes(draw):
+    """Small random 1D and 2D meshes whose spacing divides every side."""
     h = draw(st.floats(0.1, 0.5))
     if draw(st.booleans()):
         a = draw(st.floats(-2.0, 0.0))
         length = draw(st.integers(2, 12)) * h
-        mesh = fn.build_interval_mesh(a, a + length, h,
+        return fn.build_interval_mesh(a, a + length, h,
                                       draw(st.floats(1.05, 2.0)) * length)
-        s = draw(st.floats(0.05, 0.45))
-    else:
-        bx, by = draw(st.integers(1, 4)) * h, draw(st.integers(1, 4)) * h
-        mesh = fn.build_box_mesh(((0.0, bx), (0.0, by)), h,
-                                 draw(st.floats(1.05, 1.5)) * np.hypot(bx, by))
-        s = draw(st.floats(0.05, 0.95))
+    bx, by = draw(st.integers(1, 4)) * h, draw(st.integers(1, 4)) * h
+    return fn.build_box_mesh(((0.0, bx), (0.0, by)), h,
+                             draw(st.floats(1.05, 1.5)) * np.hypot(bx, by))
+
+
+@st.composite
+def small_operators(draw):
+    """Dense operators on :func:`small_meshes`, random order s."""
+    mesh = draw(small_meshes())
+    s = draw(st.floats(0.05, 0.45 if mesh.dim == 1 else 0.95))
     return fn.assemble(mesh, s, 1.0)
 
 

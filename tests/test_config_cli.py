@@ -44,7 +44,7 @@ def quick_cfg_file(tmp_path):
 class TestConfigParsing:
     def test_roundtrip_defaults(self):
         cfg = parse_config(QUICK_SWEEP)
-        assert cfg.domain_kind == "interval"
+        assert cfg.bounds == ((-1.0, 1.0),)
         assert cfg.eps_list == [0.3, 0.15]
         assert cfg.grad_tol == 1e-8
 
@@ -78,6 +78,19 @@ class TestConfigParsing:
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="expected a number"):
             parse_config("domain.h = tiny\n")
+
+    @pytest.mark.parametrize("kind, stray", [("interval", "domain.ax"),
+                                             ("interval", "domain.by"),
+                                             ("box", "domain.a")])
+    def test_bound_key_of_the_other_kind(self, kind, stray):
+        with pytest.raises(ConfigError, match=f"takes no {stray}"):
+            parse_config(f"domain.kind = {kind}\n{stray} = 3\n")
+
+    def test_spacing_must_divide_every_side(self):
+        with pytest.raises(ConfigError, match="does not divide"):
+            parse_config("domain.h = 0.3\ndomain.r_ext = 4\n")
+        with pytest.raises(ConfigError, match="does not divide"):
+            parse_config("domain.kind = box\ndomain.by = 0.5\ndomain.h = 0.2\n")
 
     def test_thin_collar(self):
         with pytest.raises(ConfigError, match="thinner than the domain"):
