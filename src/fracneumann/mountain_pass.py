@@ -35,7 +35,6 @@ from .operators import (bilinear_form, estimate_embedding_constant,
                         _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
-    energy,
     energy_gradient,
     f_eval,
     fprime_eval,
@@ -107,18 +106,23 @@ class SolveReport:
 
 
 def endpoint(spec: ProblemSpec, phi: np.ndarray,
-             tent: TentThresholds | None = None) -> np.ndarray:
-    """Path endpoint ``e = t2 * phi`` with certified negative energy."""
+             tent: TentThresholds | None = None, with_terms: bool = False):
+    """Path endpoint ``e = t2 * phi`` with certified negative energy.
+
+    ``with_terms`` returns ``(e, terms)`` instead: ``terms`` are ``(energy,
+    bilinear_form(e, e), gradient)`` from the kernel apply that certified
+    ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
+    """
     if tent is None:
         tent = thresholds(spec, phi)
     e = tent.t2 * phi
-    e_energy = energy(spec, e)
-    if e_energy >= 0.0:
+    terms = _point_terms(spec, e)
+    if terms[0] >= 0.0:
         raise RuntimeError(
-            f"endpoint energy {e_energy:.6g} is not negative at t2={tent.t2:.6g}; "
+            f"endpoint energy {terms[0]:.6g} is not negative at t2={tent.t2:.6g}; "
             "threshold certificates are unreliable on this mesh"
         )
-    return e
+    return (e, terms) if with_terms else e
 
 
 def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
@@ -351,7 +355,8 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
 
 
 def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
-                        sobolev_constant: float | None = None) -> SolveReport:
+                        sobolev_constant: float | None = None,
+                        e_terms=None) -> SolveReport:
     """Deform the segment path from 0 to ``e`` onto a critical point.
 
     Phase one flows the interior points of a ``PATH_POINTS``-point path
@@ -368,11 +373,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound;
     ``None`` estimates it with
     :func:`~fracneumann.operators.estimate_embedding_constant`.
+    ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
+    a second kernel apply to ``e``; ``None`` computes them.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
-    e_energy, e_norm_sq, e_grad = _point_terms(spec, e)
+    e_energy, e_norm_sq, e_grad = (_point_terms(spec, e) if e_terms is None
+                                   else e_terms)
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 

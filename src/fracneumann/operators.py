@@ -8,7 +8,11 @@ with no weights between two exterior nodes, simultaneously realizes the
 fractional Laplacian at interior nodes, the nonlocal normal derivative at
 collar nodes, and the energy bilinear form.  Because all three share the
 weights, the discrete analogues of the nonlocal Gauss and Green identities
-hold by pair-antisymmetry, up to floating-point roundoff only.
+hold by pair-antisymmetry, up to floating-point roundoff only.  The set
+has two exact forms: the dense blocks ``W_ii`` and ``W_ie``, and, as every
+node lies on the lattice ``lo + (k + 1/2) h``, one stencil over lattice
+offsets.  Narrow stacks on large meshes are applied as a convolution with
+the stencil; wide stacks, the reduced matrix and the extension read blocks.
 
 Conventions baked in here:
   * ``c_ns = 4**s * s * Gamma(dim/2 + s) / (pi**(dim/2) * Gamma(1 - s))``,
@@ -52,6 +56,8 @@ __all__ = [
 ]
 
 DENSE_ENTRY_BUDGET = 3000**2
+CONVOLUTION_MAX_ROWS = 8  # the crossover is measured in the README
+CONVOLUTION_MIN_ENTRIES = 200  # dense entries per convolution grid cell
 
 
 def normalization_constant(dim: int, s: float) -> float:
@@ -79,6 +85,7 @@ class FormOperator:
         row_sums: full-mesh row sums, cached for Laplacian-style applications.
         reduced: :func:`_reduced_matrix`, once formed; shared by the
             :meth:`with_eps` copies, which keep the weights.
+        lattice: :func:`_lattice`, once formed; shared like ``reduced``.
     """
 
     mesh: DomainMesh
@@ -89,6 +96,7 @@ class FormOperator:
     w_ie: np.ndarray
     row_sums: np.ndarray
     reduced: list = field(default_factory=list, init=False, repr=False)
+    lattice: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -104,6 +112,7 @@ class FormOperator:
             raise ValueError(f"eps must be positive, got {eps}")
         other = replace(self, eps=float(eps))
         object.__setattr__(other, "reduced", self.reduced)
+        object.__setattr__(other, "lattice", self.lattice)
         return other
 
 
@@ -201,13 +210,78 @@ def _laplacian(weights: np.ndarray, row_sums: np.ndarray,
 def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Full-mesh kernel application, the one shared by every operator:
     ``row_sums u - [W_ii u_i + W_ie u_e, W_ie^T u_i]`` on centered values,
-    for one grid function or each row of a stack."""
+    for one grid function or each row of a stack.  Up to
+    ``CONVOLUTION_MAX_ROWS`` rows, on meshes with ``CONVOLUTION_MIN_ENTRIES``
+    dense entries or more per grid cell, :func:`_convolution_apply` takes
+    the same sums; the rest read the dense blocks.  A grid has ``n_total``
+    cells or more, so smaller interiors never form the lattice."""
+    if (np.size(u) <= CONVOLUTION_MAX_ROWS * op.n_total
+            and op.n_interior >= CONVOLUTION_MIN_ENTRIES
+            and (lattice := _lattice(op)) is not None
+            and op.n_interior * op.n_total
+            >= CONVOLUTION_MIN_ENTRIES * lattice[0].size):
+        return _convolution_apply(op, u)
     uc = _centered(u)
     ni = op.n_interior
     ui, ue = uc[..., :ni], uc[..., ni:]
     out = op.row_sums * uc
     out[..., :ni] -= ui @ op.w_ii + ue @ op.w_ie.T
     out[..., ni:] -= ui @ op.w_ie
+    return out
+
+
+def _fft_size(n: int) -> int:
+    """The smallest ``2^a 3^b 5^c`` at least ``n``: a fast FFT length."""
+    p = [q ** np.arange(int(math.log(n, q)) + 2) for q in (2, 3, 5)]
+    sizes = np.multiply.outer(np.multiply.outer(p[0], p[1]), p[2])
+    return int(sizes[sizes >= n].min())
+
+
+def _lattice(op: FormOperator):
+    """``(spectrum, cells)``: the weights as one stencil on a periodic grid
+    and each node's flat cell index, formed on first use and kept in
+    ``op.lattice``; None when a node lies over 1e-9 cells off the lattice
+    ``lo + (k + 1/2) h`` (roundoff is about 1e-13).  An axis of ``2 reach +
+    1`` cells or more, ``reach`` the largest interior-to-any-node offset on
+    it, gives every node a cell of its own and wraps no coupled pair."""
+    if not op.lattice:
+        mesh, ni = op.mesh, op.n_interior
+        k = (mesh.nodes - mesh.lo) / mesh.h - 0.5
+        cells = np.round(k).astype(np.intp)
+        if np.any(np.abs(k - cells) > 1e-9):
+            op.lattice.append(None)
+            return None
+        reach = np.maximum(cells[:ni].max(0) - cells.min(0),
+                           cells.max(0) - cells[:ni].min(0))
+        shape = [_fft_size(2 * r + 1) for r in reach]
+        dk = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")
+        stencil = _pair_weights(mesh.h * np.stack(dk, -1).reshape(-1, mesh.dim),
+                                np.zeros((1, mesh.dim)), op.s, mesh.cell_volume)
+        op.lattice.append((np.fft.fftn(stencil.reshape(shape)).real,
+                           np.ravel_multi_index(tuple(cells.T), shape, mode="wrap")))
+    return op.lattice[0]
+
+
+def _convolution_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
+    """:func:`_graph_laplacian_apply` on the weights of :func:`_lattice`
+    (ValueError off a lattice), one ``fftn``/``ifftn`` pair per row: the
+    centered interior values are the real part of the grid and the collar
+    values its imaginary part.  Interior rows take the sums of both parts,
+    collar rows the real part's only, which leaves out collar-collar pairs."""
+    if (lattice := _lattice(op)) is None:
+        raise ValueError("the mesh nodes do not lie on one lattice")
+    (spectrum, cells), ni, n = lattice, op.n_interior, op.n_total
+    uc = _centered(u)
+    out = op.row_sums * uc
+    rows, out_rows = uc.reshape(-1, n), out.reshape(-1, n)
+    grid = np.zeros((len(rows), spectrum.size), dtype=complex)
+    grid.real[:, cells[:ni]], grid.imag[:, cells[ni:]] = rows[:, :ni], rows[:, ni:]
+    axes = tuple(range(1, spectrum.ndim + 1))
+    grid = np.fft.fftn(grid.reshape(-1, *spectrum.shape), axes=axes)
+    grid = np.fft.ifftn(grid * spectrum, axes=axes).reshape(len(rows), spectrum.size)
+    sums = grid[:, cells[:ni]]
+    out_rows[:, :ni] -= sums.real + sums.imag
+    out_rows[:, ni:] -= grid.real[:, cells[ni:]]
     return out
 
 

@@ -153,9 +153,10 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
         spec = ProblemSpec(mesh, base.with_eps(eps), nl)
         phi = phi_eps(mesh, eps)
         tent = thresholds(spec, phi)
-        e = endpoint(spec, phi, tent)
+        e, e_terms = endpoint(spec, phi, tent, with_terms=True)
         report = mountain_pass_solve(
-            spec, e, mpa, sobolev_constant=estimate_embedding_constant(spec.op))
+            spec, e, mpa, sobolev_constant=estimate_embedding_constant(spec.op),
+            e_terms=e_terms)
 
         specs.append(spec)
         reports.append(report)

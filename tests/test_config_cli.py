@@ -254,6 +254,27 @@ class TestSweepRunner:
         assert len(outer) == len(cfg.eps_list) + 1
         assert sum(outer) - sum(inner) <= 2 * len(cfg.eps_list)
 
+    def test_endpoint_applied_once_per_eps(self, tmp_path, monkeypatch):
+        # endpoint certifies e with one apply and hands its terms to the solve
+        endpoints, applied = [], []
+        solve, apply = runners.mountain_pass_solve, operators._graph_laplacian_apply
+
+        def recorded_solve(spec, e, *args, **kwargs):
+            endpoints.append(e)
+            return solve(spec, e, *args, **kwargs)
+
+        def recorded_apply(op, u):
+            applied.append(u)
+            return apply(op, u)
+
+        monkeypatch.setattr(runners, "mountain_pass_solve", recorded_solve)
+        for module in (operators, problem, mountain_pass, runners):
+            monkeypatch.setattr(module, "_graph_laplacian_apply", recorded_apply)
+        cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
+        assert run_scaling_sweep(cfg, tmp_path).certificates_ok
+        assert len(endpoints) == len(cfg.eps_list)
+        assert [sum(u is e for u in applied) for e in endpoints] == [1] * len(endpoints)
+
     def test_auto_tolerance_sweep_certifies(self, tmp_path):
         # the a-priori bound allows the Euler residual the auto tolerance
         # accepts

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -29,6 +30,20 @@ class TestEndpoint:
         rho, delta = _sphere_bound(spec, solved_problem["sobolev"])
         assert delta > 0.0
         assert fn.bilinear_form(spec.op, e, e) ** 0.5 > rho
+
+    def test_rejects_a_tent_whose_endpoint_energy_is_positive(self, solved_problem):
+        tent = dataclasses.replace(solved_problem["tent"], t2=1e-3)
+        with pytest.raises(RuntimeError, match="is not negative at t2=0.001"):
+            fn.endpoint(solved_problem["spec"], solved_problem["phi"], tent)
+
+    def test_terms_have_the_bits_of_their_own_calls(self, solved_problem):
+        spec = solved_problem["spec"]
+        e, (energy, norm_sq, grad) = fn.endpoint(
+            spec, solved_problem["phi"], solved_problem["tent"], with_terms=True)
+        assert np.array_equal(e, solved_problem["endpoint"])
+        assert energy == fn.energy(spec, e)
+        assert norm_sq == fn.bilinear_form(spec.op, e, e)
+        assert np.array_equal(grad, fn.energy_gradient(spec, e))
 
 
 class TestPathEnergies:
