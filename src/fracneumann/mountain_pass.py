@@ -110,8 +110,8 @@ def endpoint(spec: ProblemSpec, phi: np.ndarray,
     """Path endpoint ``e = t2 * phi`` with certified negative energy.
 
     ``with_terms`` returns ``(e, terms)`` instead: ``terms`` are ``(energy,
-    bilinear_form(e, e), gradient)`` from the kernel apply that certified
-    ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
+    bilinear_form(e, e), gradient, L e)`` from the kernel apply ``L e`` that
+    certified ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
     """
     if tent is None:
         tent = thresholds(spec, phi)
@@ -141,16 +141,17 @@ def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
 
 class _PathState:
     """Polyline through function space with incrementally maintained operator
-    rows, so node and segment energies cost O(n) instead of a matvec each."""
+    rows ``lrows``, the kernel applies of the path rows, so node and segment
+    energies cost O(n) instead of a matvec each."""
 
-    def __init__(self, spec: ProblemSpec, path: np.ndarray):
+    def __init__(self, spec: ProblemSpec, path: np.ndarray, lrows: np.ndarray):
         self.spec = spec
         op = spec.op
         self.e2s = spec.eps ** (2.0 * op.s)
         self.vol = spec.mesh.cell_volume
         self.ni = spec.mesh.n_interior
         self.path = path
-        self.lrows = _graph_laplacian_apply(op, path)
+        self.lrows = lrows
         self.chords = np.linalg.norm(np.diff(path, axis=0), axis=1)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
         self.kernel_rows = 0  # rows the flow steps handed to the kernel
@@ -304,9 +305,10 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
     d_e = op.row_sums[ni:]
 
     # the diagonal takes the full row sums, as the gradient's apply does
-    hess = scale * (np.diag(op.row_sums[:ni]) - _reduced_matrix(op)[0])
+    m = _reduced_matrix(op)[0]
+    hess = np.multiply(m, -scale)
     diag = hess.ravel()[:: ni + 1]  # a view: writes reach hess
-    kernel_diag = diag.copy()
+    kernel_diag = scale * (op.row_sums[:ni] - np.diag(m))
     u = u0.copy()
     g = energy_gradient(spec, u)
     res = float(np.max(np.abs(g)))
@@ -317,9 +319,12 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
         used += 1
         diag[:] = kernel_diag + (1.0 - fprime_eval(spec.nonlinearity, u[:ni]))
         ge = g[ni:] / d_e
+        # W_ie ge and W_ei dx_i: rows of -L [0, ge] and -L [dx_i, 0]
+        w_ge = -_graph_laplacian_apply(op, np.concatenate([np.zeros(ni), ge]))[:ni]
         try:
-            dx_i = np.linalg.solve(hess, -g[:ni] - op.w_ie @ ge)
-            dx = np.concatenate([dx_i, (dx_i @ op.w_ie) / d_e - ge / scale])
+            dx_i = np.linalg.solve(hess, -g[:ni] - w_ge)
+            w_dx = -_graph_laplacian_apply(op, np.concatenate([dx_i, np.zeros_like(ge)]))[ni:]
+            dx = np.concatenate([dx_i, w_dx / d_e - ge / scale])
         except np.linalg.LinAlgError:
             dx = -g
         accepted = False
@@ -374,13 +379,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     ``None`` estimates it with
     :func:`~fracneumann.operators.estimate_embedding_constant`.
     ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
-    a second kernel apply to ``e``; ``None`` computes them.
+    a second kernel apply to ``e``; ``None`` computes them.  The path starts
+    at the points ``t_k e`` with the kernel rows ``t_k L e``.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
-    e_energy, e_norm_sq, e_grad = (_point_terms(spec, e) if e_terms is None
-                                   else e_terms)
+    e_energy, e_norm_sq, e_grad, e_lap = (_point_terms(spec, e) if e_terms is None
+                                          else e_terms)
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
@@ -397,7 +403,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     if grad_tol is None:
         grad_tol = 1e-8 * float(np.max(np.abs(e_grad)))
 
-    state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
+    t = np.linspace(0.0, 1.0, PATH_POINTS)[:, None]
+    state = _PathState(spec, t * e[None, :], t * e_lap[None, :])
 
     incumbent = np.inf
     crest_pt = state.path[PATH_POINTS // 2].copy()
@@ -429,7 +436,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
 
-    level, norm_sq, grad = _point_terms(spec, u)
+    level, norm_sq, grad, _ = _point_terms(spec, u)
     res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
     ni = spec.mesh.n_interior

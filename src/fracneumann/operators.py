@@ -9,10 +9,10 @@ fractional Laplacian at interior nodes, the nonlocal normal derivative at
 collar nodes, and the energy bilinear form.  Because all three share the
 weights, the discrete analogues of the nonlocal Gauss and Green identities
 hold by pair-antisymmetry, up to floating-point roundoff only.  The set
-has two exact forms: the dense blocks ``W_ii`` and ``W_ie``, and, as every
-node lies on the lattice ``lo + (k + 1/2) h``, one stencil over lattice
-offsets.  Narrow stacks on large meshes are applied as a convolution with
-the stencil; wide stacks, the reduced matrix and the extension read blocks.
+has two exact forms, and :func:`assemble` stores one per mesh: the dense
+blocks ``W_ii`` and ``W_ie`` on small meshes, or, as every node lies on the
+lattice ``lo + (k + 1/2) h``, one stencil over lattice offsets on large
+ones.  Every reader goes through the one apply or recomputes pair weights.
 
 Conventions baked in here:
   * ``c_ns = 4**s * s * Gamma(dim/2 + s) / (pi**(dim/2) * Gamma(1 - s))``,
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 DENSE_ENTRY_BUDGET = 3000**2
-CONVOLUTION_MAX_ROWS = 8  # the crossover is measured in the README
 CONVOLUTION_MIN_ENTRIES = 200  # dense entries per convolution grid cell
 
 
@@ -81,22 +80,24 @@ class FormOperator:
         eps: scale parameter of the energy form (weights do not depend on it).
         c_ns: kernel normalisation constant.
         w_ii, w_ie: the interior-interior and interior-collar weight blocks
-            (``W_ei = W_ie^T``; the collar-collar block is zero, not stored).
+            (``W_ei = W_ie^T``; the collar-collar block is zero, not stored);
+            None when ``lattice`` holds the weights.
         row_sums: full-mesh row sums, cached for Laplacian-style applications.
+        lattice: :func:`_lattice` of the mesh, the weights as one stencil, or
+            None when the blocks hold them.
         reduced: :func:`_reduced_matrix`, once formed; shared by the
             :meth:`with_eps` copies, which keep the weights.
-        lattice: :func:`_lattice`, once formed; shared like ``reduced``.
     """
 
     mesh: DomainMesh
     s: float
     eps: float
     c_ns: float
-    w_ii: np.ndarray
-    w_ie: np.ndarray
+    w_ii: np.ndarray | None
+    w_ie: np.ndarray | None
     row_sums: np.ndarray
+    lattice: tuple | None = field(default=None, repr=False)
     reduced: list = field(default_factory=list, init=False, repr=False)
-    lattice: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def n_interior(self) -> int:
@@ -112,12 +113,13 @@ class FormOperator:
             raise ValueError(f"eps must be positive, got {eps}")
         other = replace(self, eps=float(eps))
         object.__setattr__(other, "reduced", self.reduced)
-        object.__setattr__(other, "lattice", self.lattice)
         return other
 
 
 def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
-    """Build the weight blocks for ``mesh`` at order ``s``.
+    """Build the weights for ``mesh`` at order ``s``: the :func:`_lattice`
+    stencil where it qualifies, its row sums from one convolution, else the
+    dense blocks, whose size alone the entry budget checks.
 
     Requires ``0 < s < 1`` and ``dim > 2 s`` (so the critical exponent
     ``2 dim / (dim - 2 s)`` is finite).  Deterministic for fixed inputs.
@@ -130,6 +132,12 @@ def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
         )
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
+    c_ns = normalization_constant(mesh.dim, s)
+    if (lattice := _lattice(mesh, s)) is not None:
+        return FormOperator(
+            mesh=mesh, s=float(s), eps=float(eps), c_ns=c_ns, w_ii=None,
+            w_ie=None, lattice=lattice,
+            row_sums=_pair_sums(lattice, mesh.n_interior, np.ones(mesh.n_total)))
     entries = mesh.n_interior * mesh.n_total
     if entries > DENSE_ENTRY_BUDGET:
         warnings.warn(
@@ -142,8 +150,7 @@ def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
     w_ii = _pair_weights(xi, xi, s, vol)
     w_ie = _pair_weights(xi, mesh.exterior_nodes, s, vol)
     return FormOperator(
-        mesh=mesh, s=float(s), eps=float(eps),
-        c_ns=normalization_constant(mesh.dim, s), w_ii=w_ii, w_ie=w_ie,
+        mesh=mesh, s=float(s), eps=float(eps), c_ns=c_ns, w_ii=w_ii, w_ie=w_ie,
         row_sums=np.concatenate([w_ii.sum(1) + w_ie.sum(1), w_ie.sum(0)]),
     )
 
@@ -210,16 +217,10 @@ def _laplacian(weights: np.ndarray, row_sums: np.ndarray,
 def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Full-mesh kernel application, the one shared by every operator:
     ``row_sums u - [W_ii u_i + W_ie u_e, W_ie^T u_i]`` on centered values,
-    for one grid function or each row of a stack.  Up to
-    ``CONVOLUTION_MAX_ROWS`` rows, on meshes with ``CONVOLUTION_MIN_ENTRIES``
-    dense entries or more per grid cell, :func:`_convolution_apply` takes
-    the same sums; the rest read the dense blocks.  A grid has ``n_total``
-    cells or more, so smaller interiors never form the lattice."""
-    if (np.size(u) <= CONVOLUTION_MAX_ROWS * op.n_total
-            and op.n_interior >= CONVOLUTION_MIN_ENTRIES
-            and (lattice := _lattice(op)) is not None
-            and op.n_interior * op.n_total
-            >= CONVOLUTION_MIN_ENTRIES * lattice[0].size):
+    for one grid function or each row of a stack.  An operator that holds
+    the weights as a stencil takes the same sums by
+    :func:`_convolution_apply`; the rest read the dense blocks."""
+    if op.lattice is not None:
         return _convolution_apply(op, u)
     uc = _centered(u)
     ni = op.n_interior
@@ -237,52 +238,61 @@ def _fft_size(n: int) -> int:
     return int(sizes[sizes >= n].min())
 
 
-def _lattice(op: FormOperator):
-    """``(spectrum, cells)``: the weights as one stencil on a periodic grid
-    and each node's flat cell index, formed on first use and kept in
-    ``op.lattice``; None when a node lies over 1e-9 cells off the lattice
-    ``lo + (k + 1/2) h`` (roundoff is about 1e-13).  An axis of ``2 reach +
-    1`` cells or more, ``reach`` the largest interior-to-any-node offset on
-    it, gives every node a cell of its own and wraps no coupled pair."""
-    if not op.lattice:
-        mesh, ni = op.mesh, op.n_interior
-        k = (mesh.nodes - mesh.lo) / mesh.h - 0.5
-        cells = np.round(k).astype(np.intp)
-        if np.any(np.abs(k - cells) > 1e-9):
-            op.lattice.append(None)
-            return None
-        reach = np.maximum(cells[:ni].max(0) - cells.min(0),
-                           cells.max(0) - cells[:ni].min(0))
-        shape = [_fft_size(2 * r + 1) for r in reach]
-        dk = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")
-        stencil = _pair_weights(mesh.h * np.stack(dk, -1).reshape(-1, mesh.dim),
-                                np.zeros((1, mesh.dim)), op.s, mesh.cell_volume)
-        op.lattice.append((np.fft.fftn(stencil.reshape(shape)).real,
-                           np.ravel_multi_index(tuple(cells.T), shape, mode="wrap")))
-    return op.lattice[0]
+def _lattice(mesh: DomainMesh, s: float):
+    """``(spectrum, cells)``: the weights of order ``s`` as one stencil on a
+    periodic grid and each node's flat cell index.  None when the blocks
+    hold fewer than ``CONVOLUTION_MIN_ENTRIES`` entries per grid cell (a grid
+    has ``n_total`` cells or more, so smaller interiors never qualify), or
+    when a node lies over 1e-9 cells off the lattice ``lo + (k + 1/2) h``
+    (roundoff is about 1e-13).  An axis of ``2 reach + 1`` cells or more,
+    ``reach`` the largest interior-to-any-node offset on it, gives every
+    node a cell of its own and wraps no coupled pair."""
+    ni, entries = mesh.n_interior, mesh.n_interior * mesh.n_total
+    if ni < CONVOLUTION_MIN_ENTRIES:
+        return None
+    k = (mesh.nodes - mesh.lo) / mesh.h - 0.5
+    cells = np.round(k).astype(np.intp)
+    if np.any(np.abs(k - cells) > 1e-9):
+        return None
+    reach = np.maximum(cells[:ni].max(0) - cells.min(0),
+                       cells.max(0) - cells[:ni].min(0))
+    shape = [_fft_size(2 * r + 1) for r in reach]
+    if entries < CONVOLUTION_MIN_ENTRIES * math.prod(shape):
+        return None
+    dk = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")
+    stencil = _pair_weights(mesh.h * np.stack(dk, -1).reshape(-1, mesh.dim),
+                            np.zeros((1, mesh.dim)), s, mesh.cell_volume)
+    return (np.fft.fftn(stencil.reshape(shape)).real,
+            np.ravel_multi_index(tuple(cells.T), shape, mode="wrap"))
 
 
-def _convolution_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
-    """:func:`_graph_laplacian_apply` on the weights of :func:`_lattice`
-    (ValueError off a lattice), one ``fftn``/``ifftn`` pair per row: the
-    centered interior values are the real part of the grid and the collar
-    values its imaginary part.  Interior rows take the sums of both parts,
-    collar rows the real part's only, which leaves out collar-collar pairs."""
-    if (lattice := _lattice(op)) is None:
-        raise ValueError("the mesh nodes do not lie on one lattice")
-    (spectrum, cells), ni, n = lattice, op.n_interior, op.n_total
-    uc = _centered(u)
-    out = op.row_sums * uc
-    rows, out_rows = uc.reshape(-1, n), out.reshape(-1, n)
+def _pair_sums(lattice, ni: int, u: np.ndarray) -> np.ndarray:
+    """``sum_j w_ij u_j`` over the coupled pairs of every node for the
+    :func:`_lattice` stencil, one ``fftn``/``ifftn`` pair per row of ``u``:
+    interior values are the real part of the grid, collar values its
+    imaginary part.  Interior rows take the sums of both parts, collar rows
+    the real part's only, which leaves out collar-collar pairs."""
+    spectrum, cells = lattice
+    rows = u.reshape(-1, u.shape[-1])
     grid = np.zeros((len(rows), spectrum.size), dtype=complex)
     grid.real[:, cells[:ni]], grid.imag[:, cells[ni:]] = rows[:, :ni], rows[:, ni:]
     axes = tuple(range(1, spectrum.ndim + 1))
     grid = np.fft.fftn(grid.reshape(-1, *spectrum.shape), axes=axes)
-    grid = np.fft.ifftn(grid * spectrum, axes=axes).reshape(len(rows), spectrum.size)
-    sums = grid[:, cells[:ni]]
-    out_rows[:, :ni] -= sums.real + sums.imag
-    out_rows[:, ni:] -= grid.real[:, cells[ni:]]
-    return out
+    grid *= spectrum
+    grid = np.fft.ifftn(grid, axes=axes).reshape(len(rows), spectrum.size)
+    sums = grid.real[:, cells]
+    sums[:, :ni] += grid.imag[:, cells[:ni]]
+    return sums.reshape(u.shape)
+
+
+def _convolution_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
+    """:func:`_graph_laplacian_apply` on the stencil ``op.lattice`` (ValueError
+    when the operator holds dense blocks): ``row_sums u`` less the
+    :func:`_pair_sums` of the centered values."""
+    if op.lattice is None:
+        raise ValueError("the operator holds no lattice stencil")
+    uc = _centered(u)
+    return op.row_sums * uc - _pair_sums(op.lattice, op.n_interior, uc)
 
 
 def _flux(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -316,7 +326,8 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
     ``u_k = sum_j w_kj u_j / sum_j w_kj``.  The result is clamped to
     ``[min u_int, max u_int]`` (the exact convex-combination range) to keep
     the discrete maximum principle intact under roundoff.  Extends each row
-    of a ``(k, n_interior)`` stack alike.
+    of a ``(k, n_interior)`` stack alike.  The sums are the collar rows of
+    ``-L [u_int - c0, 0]``.
     """
     u_int = np.asarray(u_int, dtype=float)
     ni = op.n_interior
@@ -325,7 +336,9 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
             f"size mismatch: expected {ni} interior values, got {u_int.shape}"
         )
     c0 = u_int.mean(axis=-1, keepdims=True)
-    u_ext = c0 + ((u_int - c0) @ op.w_ie) / op.row_sums[ni:]
+    v = np.zeros(u_int.shape[:-1] + (op.n_total,))
+    v[..., :ni] = u_int - c0
+    u_ext = c0 - _graph_laplacian_apply(op, v)[..., ni:] / op.row_sums[ni:]
     np.clip(u_ext, u_int.min(axis=-1, keepdims=True),
             u_int.max(axis=-1, keepdims=True), out=u_ext)
     return np.concatenate([u_int, u_ext], axis=-1)
@@ -427,11 +440,16 @@ def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     form over collar values (the zero-flux extension; the collar block is
     diagonal), and its row sums, which equal ``op.row_sums[:ni]``.
 
-    Formed on first use and kept, read-only, in ``op.reduced``."""
+    Formed on first use from :func:`_pair_weights`, 256 collar columns of
+    ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``."""
     if not op.reduced:
-        ni = op.n_interior
-        b = op.w_ie / np.sqrt(op.row_sums[ni:])
-        m = op.w_ii + b @ b.T
+        mesh, ni = op.mesh, op.n_interior
+        xi, xe, vol = mesh.interior_nodes, mesh.exterior_nodes, mesh.cell_volume
+        m = _pair_weights(xi, xi, op.s, vol)
+        for k in range(0, mesh.n_exterior, 256):
+            b = _pair_weights(xi, xe[k:k + 256], op.s, vol)
+            b /= np.sqrt(op.row_sums[ni + k:ni + k + 256])
+            m += b @ b.T
         d = m @ np.ones(ni)
         m.flags.writeable = d.flags.writeable = False
         op.reduced.extend([m, d])
@@ -510,7 +528,9 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     Non-convergence is reported with a warning, not an error; the last
     iterate's quotient is returned.
     """
-    w, d = op.w_ii, op.w_ii @ np.ones(op.n_interior)
+    xi = op.mesh.interior_nodes
+    w = _pair_weights(xi, xi, op.s, op.mesh.cell_volume)
+    d = w @ np.ones(op.n_interior)
     # deterministic low-frequency start: the first coordinate, centered
     val, _ = _ascend(lambda v: _laplacian(w, d, v), lambda v: v - v.mean(),
                      critical_exponent(op.mesh.dim, op.s), op.mesh.cell_volume,

@@ -53,9 +53,10 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
                        corrupt_weight: bool = False) -> bool:
     """Exercise the operator identities on the configured mesh.
 
-    ``corrupt_weight`` is a fault-injection hook for tests: it breaks the
-    symmetry of one kernel weight, which must make the suite fail and name
-    the broken identities.
+    ``corrupt_weight`` is a fault-injection hook for tests: it scales one
+    node's row sum, which leaves the apply unsymmetric on either weight
+    representation and must make the suite fail and name the broken
+    identities.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -63,7 +64,7 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
     mesh = cfg.build_mesh()
     op = assemble(mesh, cfg.s, eps)
     if corrupt_weight:
-        op.w_ii[0, 1] *= 1.5  # asymmetric: Gauss and Green must now fail
+        op.row_sums[0] *= 1.5  # asymmetric: Gauss and Green must now fail
 
     rng = np.random.default_rng(cfg.seed)
     checks = []

@@ -145,13 +145,16 @@ class TestIdentitySuite:
         assert report["manifest"]["config_sha256"] == cfg.config_sha256
 
     def test_fault_injection_fails_and_names_identity(self, tmp_path):
-        cfg = parse_config(QUICK_SWEEP)
-        ok = run_identity_suite(cfg, tmp_path, corrupt_weight=True)
-        assert not ok
-        report = json.loads((tmp_path / "identities.json").read_text())
-        failed = {c["name"] for c in report["checks"] if not c["pass"]}
-        assert "gauss_identity_relative" in failed or \
-            "green_identity_relative" in failed
+        # on the dense blocks (QUICK_SWEEP) and on a lattice stencil
+        # (reference_1d) alike
+        for name, cfg in (("dense", parse_config(QUICK_SWEEP)),
+                          ("lattice", load_config(CONFIGS[0].parent / "reference_1d.cfg"))):
+            ok = run_identity_suite(cfg, tmp_path / name, corrupt_weight=True)
+            assert not ok
+            report = json.loads((tmp_path / name / "identities.json").read_text())
+            failed = {c["name"] for c in report["checks"] if not c["pass"]}
+            assert "gauss_identity_relative" in failed or \
+                "green_identity_relative" in failed
 
     def test_assembles_once(self, tmp_path, monkeypatch):
         calls = []
@@ -182,8 +185,9 @@ class TestIdentitySuite:
         monkeypatch.setattr(operators, "_reduced_matrix", unused)
         cfg = load_config(CONFIGS[0].parent / "identities_2d.cfg")
         assert run_identity_suite(cfg, tmp_path)
-        # 10 stacks of 10 pairs, the constant and the 20 extensions
-        assert len(apply_counter) <= 12
+        # 10 stacks of 10 pairs, the constant, and the 20 extensions with
+        # their fluxes
+        assert len(apply_counter) <= 13
         assert all(len(shape) == 1 or shape[0] <= runners.IDENTITY_STACK
                    for shape in apply_counter)
 
@@ -243,15 +247,17 @@ class TestSweepRunner:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        outer, inner = [], []
+        outer, inner, start = [], [], []
         tally(runners, "mountain_pass_solve", outer)
         tally(runners, "apriori_norm_certificate", outer)
-        tally(mountain_pass._PathState, "__init__", inner)
+        tally(mountain_pass._PathState, "__init__", start)
         tally(mountain_pass._PathState, "flow_step", inner)
         tally(mountain_pass, "_newton_polish", inner)
         cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
         assert run_scaling_sweep(cfg, tmp_path).certificates_ok
         assert len(outer) == len(cfg.eps_list) + 1
+        # the path starts from the endpoint's apply: t_k L e, no new apply
+        assert start == [0] * len(cfg.eps_list)
         assert sum(outer) - sum(inner) <= 2 * len(cfg.eps_list)
 
     def test_endpoint_applied_once_per_eps(self, tmp_path, monkeypatch):
@@ -284,13 +290,23 @@ class TestSweepRunner:
         assert result.all_converged
         assert result.summary["apriori_norm_ok"] and result.certificates_ok
 
-    def test_weights_assembled_once(self, tmp_path):
+    def test_weights_assembled_once(self, tmp_path, monkeypatch):
         cfg = parse_config(QUICK_SWEEP)
-        result = run_scaling_sweep(cfg, tmp_path)
+        result = run_scaling_sweep(cfg, tmp_path / "dense")
         assert [sp.eps for sp in result.specs] == cfg.eps_list
         first = result.specs[0].op
+        assert first.lattice is None
         assert all(sp.op.w_ii is first.w_ii and sp.op.w_ie is first.w_ie
                    for sp in result.specs)
+        # with no entry threshold the mesh takes the stencil, which the
+        # with_eps copies share
+        monkeypatch.setattr(operators, "CONVOLUTION_MIN_ENTRIES", 0)
+        result = run_scaling_sweep(cfg, tmp_path / "lattice")
+        first = result.specs[0].op
+        assert first.w_ii is None and first.lattice is not None
+        assert all(sp.op.lattice is first.lattice
+                   and sp.op.lattice[0] is first.lattice[0]
+                   and sp.op.row_sums is first.row_sums for sp in result.specs)
 
     def test_reduced_matrix_formed_once(self, tmp_path, monkeypatch):
         returned = []

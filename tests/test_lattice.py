@@ -1,9 +1,11 @@
-"""The lattice-convolution form of the kernel apply against the dense blocks.
+"""The lattice-convolution form of the weights against the dense blocks.
 
 Imports no scipy: the numpy-only CI job runs this module.
 """
 
 import dataclasses
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
+from fracneumann.mountain_pass import _newton_polish
 from fracneumann.operators import (_centered, _convolution_apply,
                                    _graph_laplacian_apply, _identity_terms,
-                                   _lattice)
+                                   _pair_weights, _reduced_matrix)
 
 from conftest import dense_weights, small_operators
 
@@ -24,8 +27,13 @@ REFERENCE_1D = Path(__file__).resolve().parents[1] / "configs" / "reference_1d.c
 
 
 @pytest.fixture(scope="module")
-def op_ref():
-    return fn.assemble(load_config(REFERENCE_1D).build_mesh(), 0.25, 0.1)
+def cfg_ref():
+    return load_config(REFERENCE_1D)
+
+
+@pytest.fixture(scope="module")
+def op_ref(cfg_ref):
+    return fn.assemble(cfg_ref.build_mesh(), 0.25, 0.1)
 
 
 def dense_apply(op, u):
@@ -38,13 +46,34 @@ def dense_apply(op, u):
     return out
 
 
+def dense_twin(op):
+    """The oracle: ``op`` with the dense blocks, built by ``_pair_weights``,
+    and their row sums in place of its stencil."""
+    mesh = op.mesh
+    xi, vol = mesh.interior_nodes, mesh.cell_volume
+    w_ii = _pair_weights(xi, xi, op.s, vol)
+    w_ie = _pair_weights(xi, mesh.exterior_nodes, op.s, vol)
+    return dataclasses.replace(
+        op, w_ii=w_ii, w_ie=w_ie, lattice=None,
+        row_sums=np.concatenate([w_ii.sum(1) + w_ie.sum(1), w_ie.sum(0)]))
+
+
+def lattice_twin(op):
+    """``op``'s weights as a stencil: with no entry threshold, every mesh on
+    the lattice takes that form."""
+    with mock.patch.object(operators, "CONVOLUTION_MIN_ENTRIES", 0):
+        twin = fn.assemble(op.mesh, op.s, op.eps)
+    assert twin.lattice is not None and twin.w_ii is None and twin.w_ie is None
+    return twin
+
+
 def grid_functions(rng, n_rows, n):
     """One grid function for ``n_rows == 0``, else a stack of ``n_rows``."""
     return rng.standard_normal((n_rows, n) if n_rows else n)
 
 
 def convolutions():
-    """A spy on the convolution calls that the rule makes."""
+    """A spy on the convolution calls that the apply makes."""
     return mock.patch.object(operators, "_convolution_apply",
                              wraps=_convolution_apply)
 
@@ -57,7 +86,7 @@ class TestConvolutionOracle:
     def test_matches_the_dense_blocks(self, op, seed, n_rows, amplitude, offset):
         rng = np.random.default_rng(seed)
         u = amplitude * (offset + grid_functions(rng, n_rows, op.n_total))
-        got = _convolution_apply(op, u)
+        got = _convolution_apply(lattice_twin(op), u)
         rows = np.atleast_2d(u)
         diff = rows[:, :, None] - rows[:, None, :]
         w = dense_weights(op)
@@ -72,56 +101,145 @@ class TestConvolutionOracle:
     @given(op=small_operators(),
            values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
     def test_constant_rows_give_exact_zero(self, op, values):
+        lat = lattice_twin(op)
         rows = np.repeat(np.array(values)[:, None], op.n_total, axis=1)
-        assert np.all(_convolution_apply(op, rows) == 0.0)
-        assert np.all(_convolution_apply(op, rows[0]) == 0.0)
+        assert np.all(_convolution_apply(lat, rows) == 0.0)
+        assert np.all(_convolution_apply(lat, rows[0]) == 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
            n_rows=st.integers(1, 8))
     def test_gauss_residual_at_roundoff(self, op, seed, n_rows):
+        lat = lattice_twin(op)
         u = grid_functions(np.random.default_rng(seed), n_rows, op.n_total)
-        resid, scale = _identity_terms(op, _convolution_apply(op, u))[0]
+        resid, scale = _identity_terms(lat, _convolution_apply(lat, u))[0]
         assert np.all(resid <= 1e-12 * scale)
 
     def test_reference_mesh(self, op_ref):
+        # the reference operator stores no blocks: the oracle builds them
+        oracle = dense_twin(op_ref)
         u = grid_functions(np.random.default_rng(5), 3, op_ref.n_total)
-        resid, scale = _identity_terms(op_ref, _convolution_apply(op_ref, u))[0]
+        got = _convolution_apply(op_ref, u)
+        resid, scale = _identity_terms(op_ref, got)[0]
         assert np.all(resid <= 1e-12 * scale)
-        diff = _convolution_apply(op_ref, u) - dense_apply(op_ref, u)
-        assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(dense_apply(op_ref, u)))
+        want = dense_apply(oracle, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(np.abs(op_ref.row_sums - oracle.row_sums)
+                      <= 1e-12 * oracle.row_sums)
 
 
 class TestRule:
     def test_reference_narrow_stacks_convolve(self, op_ref):
+        # the representation, not the row count, picks the form: on the
+        # reference mesh every stack convolves, 9 and 20 rows too
+        assert op_ref.w_ii is None and op_ref.w_ie is None
+        oracle = dense_twin(op_ref)
         rng = np.random.default_rng(1)
         with convolutions() as spy:
-            for n_rows in (0, 1, 4, 8):
+            for n_rows in (0, 1, 4, 8, 9, 20):
                 u = grid_functions(rng, n_rows, op_ref.n_total)
-                assert np.array_equal(_graph_laplacian_apply(op_ref, u),
-                                      _convolution_apply(op_ref, u))
-            assert spy.call_count == 4
-            wide = grid_functions(rng, 9, op_ref.n_total)
-            assert np.array_equal(_graph_laplacian_apply(op_ref, wide),
-                                  dense_apply(op_ref, wide))
-            assert spy.call_count == 4
+                got = _graph_laplacian_apply(op_ref, u)
+                assert np.array_equal(got, _convolution_apply(op_ref, u))
+                want = dense_apply(oracle, u)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert spy.call_count == 6
 
     @settings(max_examples=60, deadline=None)
     @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
            n_rows=st.integers(0, 8))
     def test_small_meshes_stay_dense(self, op, seed, n_rows):
+        assert op.lattice is None
         u = grid_functions(np.random.default_rng(seed), n_rows, op.n_total)
         with convolutions() as spy:
             assert np.array_equal(_graph_laplacian_apply(op, u), dense_apply(op, u))
         assert spy.call_count == 0
 
     def test_spectrum_is_small_and_shared(self, op_ref):
-        spectrum, cells = _lattice(op_ref)
+        spectrum, cells = op_ref.lattice
         assert spectrum.size < op_ref.n_interior * op_ref.n_total
         assert np.unique(cells).size == op_ref.n_total
+        # no n_i x n_i or n_i x n_e array on the operator
+        arrays = [getattr(op_ref, f.name) for f in dataclasses.fields(op_ref)]
+        arrays = [a for a in arrays + list(op_ref.lattice) if isinstance(a, np.ndarray)]
+        assert max(a.size for a in arrays) < op_ref.n_interior**2
         other = op_ref.with_eps(0.05)
-        assert other.lattice is op_ref.lattice
-        assert _lattice(other)[0] is spectrum
+        assert other.lattice is op_ref.lattice and other.lattice[0] is spectrum
+        assert other.row_sums is op_ref.row_sums
+
+
+class TestLatticeForm:
+    """Every reader of the weights on a stencil operator against the same
+    reader on the dense blocks of the same mesh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           n_rows=st.integers(0, 8))
+    def test_readers_match_the_dense_oracle(self, op, seed, n_rows):
+        lat, rng = lattice_twin(op), np.random.default_rng(seed)
+        ni, n, vol = op.n_interior, op.n_total, op.mesh.cell_volume
+        assert np.all(np.abs(lat.row_sums - op.row_sums) <= 1e-12 * op.row_sums)
+
+        u = grid_functions(rng, n_rows, n)
+        got, want = _graph_laplacian_apply(lat, u), _graph_laplacian_apply(op, u)
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.max(np.abs(want), axis=-1, keepdims=True))
+        c = np.full((max(n_rows, 1), n), 1.0 + seed % 7)
+        assert np.all(_graph_laplacian_apply(lat, c) == 0.0)
+
+        w = grid_functions(rng, n_rows, ni)
+        ext = fn.exterior_extension(lat, w)
+        scale = np.max(np.abs(w), axis=-1, keepdims=True)
+        assert np.all(np.abs(ext - fn.exterior_extension(op, w)) <= 1e-12 * scale)
+        flux = fn.neumann_derivative(lat, ext)
+        assert np.all(np.abs(flux) <= 1e-12 * 2.0 * lat.row_sums.max() / vol * scale)
+
+        (m_lat, d_lat), (m, d) = _reduced_matrix(lat), _reduced_matrix(op)
+        assert np.all(np.abs(m_lat - m) <= 1e-12 * m)
+        assert np.all(np.abs(d_lat - d) <= 1e-12 * d)
+
+        # one Newton step from a small start, where the Hessian is near the
+        # identity plus the kernel, so the step is well conditioned
+        two_star = operators.critical_exponent(op.mesh.dim, op.s)
+        f = fn.power_nonlinearity(2.0 + 0.5 * min(two_star - 2.0, 4.0))
+        u0 = 0.1 * rng.standard_normal(n)
+        steps = []
+        for form in (lat, op):
+            spec = fn.ProblemSpec(op.mesh, form, f)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                steps.append(_newton_polish(spec, u0, 1e-300, 1))
+        (u_lat, used_lat), (u_dense, used) = steps
+        assert used_lat == used == 1
+        # relative to the step, which lands near the critical point 0
+        assert np.max(np.abs(u_lat - u_dense)) <= 1e-12 * np.max(np.abs(u_dense - u0))
+
+
+class TestMemory:
+    def test_reference_stores_no_blocks(self, cfg_ref):
+        mesh = cfg_ref.build_mesh()
+        tracemalloc.start()
+        try:
+            op = fn.assemble(mesh, cfg_ref.s, cfg_ref.first_eps())
+            assembled = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            fn.estimate_embedding_constant(op)
+            estimated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.w_ii is None and op.w_ie is None
+        assert assembled < 1e6
+        assert estimated < 5e6
+
+    def test_refined_reference_mesh_assembles_silently(self, cfg_ref):
+        # the h = h_ref / 4 mesh has 1600 x 8000 dense entries, beyond the
+        # budget, but stores its stencil only
+        mesh = fn.build_box_mesh(cfg_ref.bounds, cfg_ref.h / 4,
+                                 cfg_ref.resolved_r_ext())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = fn.assemble(mesh, cfg_ref.s, cfg_ref.first_eps())
+        assert op.n_interior * op.n_total > operators.DENSE_ENTRY_BUDGET
+        assert op.lattice is not None and op.w_ii is None
 
 
 class TestOffLattice:
@@ -140,6 +258,7 @@ class TestOffLattice:
             _convolution_apply(jittered, np.ones(jittered.n_total))
 
     def test_rule_stays_dense(self, jittered):
+        assert jittered.lattice is None and jittered.w_ii is not None
         u = np.random.default_rng(2).standard_normal(jittered.n_total)
         with convolutions() as spy:
             assert np.array_equal(_graph_laplacian_apply(jittered, u),

@@ -590,8 +590,8 @@ class TestReducedMatrix:
         other = op_1d.with_eps(0.01)
         assert _reduced_matrix(other)[0] is m and _reduced_matrix(op_1d)[1] is d
         assert not (m.flags.writeable or d.flags.writeable)
-        # new weights start without one
-        fresh = dataclasses.replace(op_1d, w_ii=2.0 * op_1d.w_ii)
+        # new weights start without one (M reads the collar row sums)
+        fresh = dataclasses.replace(op_1d, row_sums=2.0 * op_1d.row_sums)
         assert not fresh.reduced
         assert not np.array_equal(_reduced_matrix(fresh)[0], m)
 
