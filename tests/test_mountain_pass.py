@@ -17,11 +17,6 @@ from fracneumann.problem import _reaction, f_eval, fprime_eval
 from conftest import dense_weights, energy_scale, small_problems
 
 
-def path_state(spec, path):
-    """A :class:`_PathState` on ``path``, its kernel rows applied here."""
-    return _PathState(spec, path, _graph_laplacian_apply(spec.op, path))
-
-
 class TestEndpoint:
     def test_negative_energy(self, solved_problem):
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
@@ -43,13 +38,12 @@ class TestEndpoint:
 
     def test_terms_have_the_bits_of_their_own_calls(self, solved_problem):
         spec = solved_problem["spec"]
-        e, (energy, norm_sq, grad, lap) = fn.endpoint(
+        e, (energy, norm_sq, grad) = fn.endpoint(
             spec, solved_problem["phi"], solved_problem["tent"], with_terms=True)
         assert np.array_equal(e, solved_problem["endpoint"])
         assert energy == fn.energy(spec, e)
         assert norm_sq == fn.bilinear_form(spec.op, e, e)
         assert np.array_equal(grad, fn.energy_gradient(spec, e))
-        assert np.array_equal(lap, _graph_laplacian_apply(spec.op, e))
 
 
 class TestPathEnergies:
@@ -58,7 +52,7 @@ class TestPathEnergies:
            points=st.integers(3, 8))
     def test_match_energy(self, spec, seed, points):
         path = np.random.default_rng(seed).standard_normal((points, spec.mesh.n_total))
-        state = path_state(spec, path)
+        state = _PathState(spec, path)
         s_pp, node_e = state.node_terms()
         for u, got in zip(path, node_e):
             assert abs(got - fn.energy(spec, u)) <= 1e-12 * energy_scale(spec, u)
@@ -102,7 +96,7 @@ class TestCrest:
            points=st.integers(3, 8))
     def test_matches_full_sampling_below_the_incumbent(self, spec, seed, points):
         rng = np.random.default_rng(seed)
-        state = path_state(spec, _random_path(spec, rng, points))
+        state = _PathState(spec, _random_path(spec, rng, points))
         s_pp, node_e = state.node_terms()
         want, want_pt, _ = _full_crest(state, s_pp, node_e)
         node_max = float(np.max(node_e[1:-1]))
@@ -128,7 +122,7 @@ class TestCrest:
            points=st.integers(3, 8))
     def test_samples_lie_below_their_bound(self, spec, seed, points):
         rng = np.random.default_rng(seed)
-        state = path_state(spec, _random_path(spec, rng, points))
+        state = _PathState(spec, _random_path(spec, rng, points))
         s_pp, node_e = state.node_terms()
         _, _, vals = _full_crest(state, s_pp, node_e)
         _, bound = state.sample_terms(s_pp, node_e)
@@ -142,7 +136,7 @@ class TestChords:
            points=st.integers(3, 8))
     def test_stored_chords_are_the_path_chords(self, spec, seed, points):
         rng = np.random.default_rng(seed)
-        state = path_state(spec, _random_path(spec, rng, points))
+        state = _PathState(spec, _random_path(spec, rng, points))
         steps = rng.uniform(1e-3, 1.0, points - 2)
         for _ in range(3):
             state.flow_step(steps, *state.node_terms())
@@ -206,7 +200,7 @@ class TestFlowStep:
         rng = np.random.default_rng(seed)
         path = _random_path(spec, rng, points)
         steps = rng.uniform(1e-3, 1.0, points - 2)
-        state, oracle = path_state(spec, path), path_state(spec, path.copy())
+        state, oracle = _PathState(spec, path), _PathState(spec, path.copy())
         oracle_steps = steps.copy()
         terms = state.node_terms()  # as the solver loop: crest, then step
         state.crest(*terms)
@@ -223,7 +217,7 @@ class TestFlowStep:
         spec = fn.ProblemSpec(mesh, fn.assemble(mesh, 0.25, 0.1),
                               fn.power_nonlinearity(3.0))
         e = fn.endpoint(spec, fn.phi_eps(mesh, 0.1))
-        state = path_state(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e)
+        state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e)
         steps = np.full(PATH_POINTS - 2, DESCENT_STEP)
         counts = []
         for _ in range(20):
