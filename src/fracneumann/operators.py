@@ -462,11 +462,13 @@ def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
 
 
 def _lq_norm(values: np.ndarray, vol: float, q: float) -> float:
-    """Robust (sum vol |u|**q)**(1/q); rescaled to avoid overflow."""
-    m = float(np.max(np.abs(values)))
-    if m == 0.0:
+    """Robust (sum vol |u|**q)**(1/q), rescaled against overflow in one copy."""
+    a = np.abs(values)
+    if (m := float(a.max())) == 0.0:
         return 0.0
-    return m * float(np.sum(vol * (np.abs(values) / m) ** q)) ** (1.0 / q)
+    a /= m
+    a **= q
+    return m * float(np.multiply(a, vol, out=a).sum()) ** (1.0 / q)
 
 
 def _ascend(apply_b, project, q: float, vol: float, u: np.ndarray,
@@ -490,10 +492,15 @@ def _ascend(apply_b, project, q: float, vol: float, u: np.ndarray,
     val = 1.0 / buu
     step = 1.0
     for _ in range(max_iter):
-        # gradient of |u|_q^2 / B(u, u) at |u|_q = 1
-        grad = project(2.0 * (vol * np.abs(u) ** (q - 2.0) * u * buu - bu)
-                       / buu**2)
-        if float(np.linalg.norm(grad)) <= rtol * max(abs(val), 1e-300):
+        grad = np.abs(u)  # the gradient of |u|_q^2 / B(u, u) at |u|_q = 1
+        grad **= q - 2.0
+        grad *= vol
+        grad *= u
+        grad *= buu
+        grad -= bu
+        grad /= 0.5 * buu**2
+        grad = project(grad)
+        if math.sqrt(grad @ grad) <= rtol * max(abs(val), 1e-300):
             return val, u
         bg = apply_b(grad)
         bug, bgg = float(grad @ bu), float(grad @ bg)
@@ -563,7 +570,8 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     u = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
     if not u.any():  # every node at the largest radius: the bump vanishes
         u += 1.0
-    _, u = _ascend(lambda v: _laplacian(m, d, v) + (vol / e2s) * v,
+    b_diag = d + vol / e2s  # B v = b_diag v - M v: a mass term, no centring
+    _, u = _ascend(lambda v: b_diag * v - m @ v,
                    lambda v: v, q, vol, u, max_iter, rtol,
                    "embedding quotient maximization")
     lift = exterior_extension(op, u)

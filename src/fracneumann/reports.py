@@ -75,10 +75,18 @@ def write_solution(path: Path, mesh: DomainMesh, values: np.ndarray,
     given = dict(zip(SOLUTION_KEYS, (eps, grad_tol, residual, s)))
     lines += [f"# {k}={_fmt(v)}" for k, v in given.items() if v is not None]
     lines.append(f"{mesh.dim} {_fmt(mesh.h)} {mesh.n_total}")
-    # repr of a Python float is what _fmt writes for each entry
-    rows = np.column_stack([mesh.nodes, values]).tolist()
-    lines += [" ".join(map(repr, row)) for row in rows]
+    row = " ".join(["%r"] * (mesh.dim + 1))  # repr, as _fmt writes a float
+    lines += [row % tuple(r) for r in np.column_stack([mesh.nodes, values]).tolist()]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _rows(lines: list[str], width: int) -> np.ndarray | None:
+    """``lines`` as one ``(len(lines), width)`` array; None if one is not."""
+    try:
+        data = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
 
 
 def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -89,33 +97,32 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
     wrong mesh.  The header also holds the ``# key=value`` lines it found.
     """
     path = Path(path)
-    comments, raw = [], []
-    for ln in path.read_text().splitlines():
-        if not ln.strip():
-            continue
-        (comments if ln.lstrip().startswith("#") else raw).append(ln)
+    comments, raw = [], []  # raw: (1-based line number, line) of each data line
+    for k, ln in enumerate(path.read_text().splitlines(), 1):
+        if ln.strip():
+            (comments if ln.lstrip().startswith("#") else raw).append((k, ln))
     if not raw:
         raise ValueError(f"solution file {path} is empty")
-    head = raw[0].split()
+    head = raw[0][1].split()
     if len(head) != 3:
         raise ValueError(
-            f"solution file {path}: header must be 'dim h node_count', got '{raw[0]}'"
+            f"solution file {path}: header must be 'dim h node_count', got '{raw[0][1]}'"
         )
     header = {"dim": int(head[0]), "h": float(head[1]), "n_total": int(head[2])}
-    for ln in comments:
+    for _, ln in comments:
         key, sep, value = ln.lstrip("# ").strip().partition("=")
         if sep and key in SOLUTION_KEYS:
             header[key] = float(value)
-    if len(raw) - 1 != header["n_total"]:
+    if not 0 < header["n_total"] == len(raw) - 1:
         raise ValueError(
             f"solution file {path}: header says {header['n_total']} nodes, "
             f"found {len(raw) - 1} data lines"
         )
-    data = np.array([[float(tok) for tok in ln.split()] for ln in raw[1:]])
-    if data.shape[1] != header["dim"] + 1:
-        raise ValueError(
-            f"solution file {path}: expected {header['dim']} coordinates + value per line"
-        )
+    data = _rows([ln for _, ln in raw[1:]], header["dim"] + 1)
+    if data is None:  # name the first line that fails on its own
+        k, ln = next(p for p in raw[1:] if _rows([p[1]], header["dim"] + 1) is None)
+        raise ValueError(f"solution file {path}, line {k}: expected {header['dim']} "
+                         f"coordinates + value per line, got '{ln}'")
     coords, values = data[:, :-1], data[:, -1]
     if mesh is not None:
         if header["n_total"] != mesh.n_total or header["dim"] != mesh.dim:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -478,6 +479,28 @@ class TestSolutionFiles:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError, match="nodes"):
             read_solution(path)
+
+    def test_header_without_nodes_rejected(self, tmp_path):
+        path = tmp_path / "sol.txt"
+        path.write_text("# fracneumann\n1 0.1 0\n")
+        with pytest.raises(ValueError, match="header says 0 nodes"):
+            read_solution(path)
+
+    @pytest.mark.parametrize("line", [
+        "-0.95 0.5 0.25",  # a third token on a 1D line
+        "-0.95",           # the value missing
+        "-0.95 abc",       # a token that is not a number
+    ], ids=["extra-token", "missing-token", "bad-token"])
+    def test_bad_data_line_is_named(self, tmp_path, line):
+        mesh = fn.build_interval_mesh(-1.0, 1.0, 0.1, 2.0)
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.zeros(mesh.n_total), "x", eps=0.2)
+        text = path.read_text().splitlines()
+        text[5] = line  # the third data line, after manifest, eps and header
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=rf"solution file {re.escape(str(path))}, "
+                                             r"line 6: expected 1 coordinates"):
+            read_solution(path, mesh)
 
 
 class TestCli:

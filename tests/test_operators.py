@@ -159,14 +159,20 @@ def per_trial_sobolev_constant(op, max_iter=4000, rtol=1e-11):
 
 @pytest.fixture(scope="module")
 def embedding_operators(op_1d, op_2d):
-    """Operators the estimator is checked on against its oracle."""
-    cfg = load_config(Path(__file__).resolve().parents[1]
-                      / "configs" / "quick_1d.cfg")
+    """Operators the estimator is checked on against its oracle: small dense
+    ones, the 2D box, and the benchmark's 1D stencil operator at both ends
+    of its sweep."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    cfg = load_config(configs / "quick_1d.cfg")
     base = fn.assemble(cfg.build_mesh(), cfg.s, 1.0)
+    ref = load_config(configs / "reference_1d.cfg")
+    ref_base = fn.assemble(ref.build_mesh(), ref.s, 1.0)
     box = fn.build_box_mesh(((-1.0, 1.0), (-1.0, 1.0)), 0.1, 2.9)
     return {"op_1d": op_1d, "op_2d": op_2d,
             "quick_1d@0.3": base.with_eps(0.3),
             "quick_1d@0.15": base.with_eps(0.15),
+            "reference_1d@0.05": ref_base.with_eps(0.05),
+            "reference_1d@0.4": ref_base.with_eps(0.4),
             "centred_box": fn.assemble(box, 0.4, 0.3)}
 
 
@@ -691,7 +697,8 @@ class TestClosedFormLineSearch:
     """The ascent prices its trial steps with the parabola of ``B``."""
 
     @pytest.mark.parametrize("case", ["op_1d", "op_2d", "quick_1d@0.3",
-                                      "quick_1d@0.15", "centred_box"])
+                                      "quick_1d@0.15", "reference_1d@0.05",
+                                      "reference_1d@0.4", "centred_box"])
     def test_matches_the_per_trial_oracle(self, case, embedding_operators):
         op = embedding_operators[case]
         with warnings.catch_warnings():
@@ -736,6 +743,17 @@ class TestClosedFormLineSearch:
         if not start.any():
             start += 1.0
         assert value**2 >= lifted_quotient(start) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 4.0, 626.0])
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1.0, 1e300])
+    def test_lq_norm_has_the_bits_of_the_formula(self, q, scale):
+        # the in-place norm against the expression it replaced
+        values = scale * np.random.default_rng(7).standard_normal(300)
+        values[::7] = 0.0
+        m = float(np.max(np.abs(values)))
+        want = (0.0 if m == 0.0 else
+                m * float(np.sum(0.01 * (np.abs(values) / m) ** q)) ** (1.0 / q))
+        assert operators._lq_norm(values, 0.01, q) == want
 
     @pytest.mark.parametrize("estimator", [fn.estimate_sobolev_constant,
                                            fn.estimate_embedding_constant])
