@@ -81,7 +81,7 @@ def write_solution(path: Path, mesh: DomainMesh, values: np.ndarray,
 
 
 def _rows(lines: list[str], width: int) -> np.ndarray | None:
-    """``lines`` as one ``(len(lines), width)`` array; None if one is not."""
+    """The ``width`` numbers of each of ``lines`` as one array, else None."""
     try:
         data = np.loadtxt(lines, comments=None, ndmin=2)
     except ValueError:
