@@ -111,7 +111,9 @@ def build_box_mesh(bounds, h: float, r_ext: float) -> DomainMesh:
     outside the closed box whose centers lie within ``r_ext`` of it: all
     ``2 m`` in 1D, a rounded rectangle in 2D.  That distance is measured in
     cells, from each center's half-integer offsets past the box, so rounding
-    in the coordinates never moves a cell in or out of the collar.
+    in the coordinates never moves a cell in or out of the collar.  Both
+    node lists are in lexicographic order, so reversing either reflects it
+    through the box centre.
     """
     lo, hi = check_box(bounds, h, r_ext)
     reach = r_ext / h

@@ -441,15 +441,25 @@ def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     diagonal), and its row sums, which equal ``op.row_sums[:ni]``.
 
     Formed on first use from :func:`_pair_weights`, 256 collar columns of
-    ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``."""
+    ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``.
+    Where reversing the node lists mirrors the mesh (to 1e-9 cells), the
+    collar's first half gives ``X = W_ii/2 + sum_e w_e w_e^T/d_e`` and ``M =
+    X + X[::-1, ::-1]``, exactly centrosymmetric; else the full collar sum."""
     if not op.reduced:
         mesh, ni = op.mesh, op.n_interior
         xi, xe, vol = mesh.interior_nodes, mesh.exterior_nodes, mesh.cell_volume
+        mirrored = mesh.n_exterior % 2 == 0 and all(np.all(np.abs(
+            x + x[::-1] - mesh.lo - mesh.hi) <= 1e-9 * mesh.h) for x in (xi, xe))
+        stop = mesh.n_exterior // 2 if mirrored else mesh.n_exterior
         m = _pair_weights(xi, xi, op.s, vol)
-        for k in range(0, mesh.n_exterior, 256):
-            b = _pair_weights(xi, xe[k:k + 256], op.s, vol)
-            b /= np.sqrt(op.row_sums[ni + k:ni + k + 256])
+        if mirrored:
+            m *= 0.5
+        for k in range(0, stop, 256):
+            b = _pair_weights(xi, xe[k:min(k + 256, stop)], op.s, vol)
+            b /= np.sqrt(op.row_sums[ni + k:ni + min(k + 256, stop)])
             m += b @ b.T
+        if mirrored:
+            m += m[::-1, ::-1]
         d = m @ np.ones(ni)
         m.flags.writeable = d.flags.writeable = False
         op.reduced.extend([m, d])

@@ -67,6 +67,20 @@ def lattice_twin(op):
     return twin
 
 
+def full_collar_sum(op):
+    """``W_ii + sum_e w_e w_e^T / d_e`` over every collar node, 256 collar
+    columns at a time in collar order: the collar-eliminated matrix of a
+    mesh that no reflection maps onto itself."""
+    mesh, ni = op.mesh, op.n_interior
+    xi, xe, vol = mesh.interior_nodes, mesh.exterior_nodes, mesh.cell_volume
+    m = _pair_weights(xi, xi, op.s, vol)
+    for k in range(0, mesh.n_exterior, 256):
+        b = _pair_weights(xi, xe[k:k + 256], op.s, vol)
+        b /= np.sqrt(op.row_sums[ni + k:ni + k + 256])
+        m += b @ b.T
+    return m
+
+
 def grid_functions(rng, n_rows, n):
     """One grid function for ``n_rows == 0``, else a stack of ``n_rows``."""
     return rng.standard_normal((n_rows, n) if n_rows else n)
@@ -214,6 +228,28 @@ class TestLatticeForm:
         assert np.max(np.abs(u_lat - u_dense)) <= 1e-12 * np.max(np.abs(u_dense - u0))
 
 
+class TestMirroredReducedMatrix:
+    """``M`` from the first half of the collar on the mirrored meshes that
+    :func:`fracneumann.build_box_mesh` makes."""
+
+    @staticmethod
+    def check_mirrored(op):
+        m, d = _reduced_matrix(op)
+        assert np.array_equal(m, m[::-1, ::-1]) and np.array_equal(m, m.T)
+        full = full_collar_sum(op)
+        assert np.all(np.abs(m - full) <= 1e-13 * full)
+        assert np.all(np.abs(d - op.row_sums[:op.n_interior])
+                      <= 1e-14 * op.row_sums[:op.n_interior])
+
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators())
+    def test_small_meshes(self, op):
+        self.check_mirrored(op)
+
+    def test_reference_mesh(self, op_ref):
+        self.check_mirrored(op_ref)
+
+
 class TestMemory:
     def test_reference_stores_no_blocks(self, cfg_ref):
         mesh = cfg_ref.build_mesh()
@@ -264,3 +300,10 @@ class TestOffLattice:
             assert np.array_equal(_graph_laplacian_apply(jittered, u),
                                   dense_apply(jittered, u))
         assert spy.call_count == 0
+
+    def test_reduced_matrix_is_the_full_sum(self, jittered):
+        # no reflection maps the jittered mesh onto itself: M is the full
+        # collar sum, bit for bit
+        m = _reduced_matrix(jittered)[0]
+        assert np.array_equal(m, full_collar_sum(jittered))
+        assert not np.array_equal(m, m[::-1, ::-1])

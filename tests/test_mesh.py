@@ -152,3 +152,14 @@ def test_collar_does_not_depend_on_where_the_box_sits(mesh, shift):
     assert moved.n_interior == mesh.n_interior
     assert moved.n_exterior == mesh.n_exterior
 
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=small_meshes())
+def test_reversing_a_node_list_reflects_it(mesh):
+    # point reflection through the box centre maps each node list onto itself
+    # in reverse order, in 1D and 2D; the collar-eliminated matrix sums half
+    # the collar on this
+    for nodes in (mesh.interior_nodes, mesh.exterior_nodes):
+        assert np.all(np.abs(nodes + nodes[::-1] - mesh.lo - mesh.hi)
+                      <= 1e-9 * mesh.h)
+    assert mesh.n_exterior % 2 == 0
