@@ -7,6 +7,8 @@ Cauchy-Schwarz bound relating differences of G to differences of g.  Chaining
 the resulting norm inequalities along the exponent ladder
 ``beta_1 = 1, beta_{n+1} = (q*/2) beta_n`` (q* the critical exponent) turns
 an L2 bound into a certified sup bound ``K**gamma1 * e**gamma2 * |u|_2``.
+The chain checks take the scaled embedding constant ``S`` from their caller:
+the runners alone decide which ``S`` the certificates use.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 MAX_POWER_EXPONENT = 700.0  # |u|max**q must stay inside float range
+LADDER_LEVELS = 12  # exponent levels norm_ladder climbs before the overflow cap
 
 
 def _validate_trunc(alpha: float, M: float) -> None:
@@ -102,8 +105,9 @@ class MoserLadder:
     n_used: int
 
 
-def norm_ladder(spec: ProblemSpec, u: np.ndarray, n_max: int = 12) -> MoserLadder:
-    """Climb the exponent ladder and fit the smallest valid chaining constant.
+def norm_ladder(spec: ProblemSpec, u: np.ndarray) -> MoserLadder:
+    """Climb ``LADDER_LEVELS`` levels of the exponent ladder and fit the
+    smallest valid chaining constant.
 
     For each level the inequality
     ``|u|_{q* beta_n} <= K**(1/beta_n) e**(1/sqrt(beta_n)) |u|_{2 beta_n}``
@@ -121,7 +125,7 @@ def norm_ladder(spec: ProblemSpec, u: np.ndarray, n_max: int = 12) -> MoserLadde
 
     qstar = spec.two_star
     ratio = qstar / 2.0
-    beta = ratio ** np.arange(n_max)
+    beta = ratio ** np.arange(LADDER_LEVELS)
     q_up = qstar * beta
     if actual_max > 1.0:
         q_cap = MAX_POWER_EXPONENT / np.log(actual_max)
@@ -129,7 +133,7 @@ def norm_ladder(spec: ProblemSpec, u: np.ndarray, n_max: int = 12) -> MoserLadde
         if not np.all(keep):
             n_used = int(np.sum(keep))
             warnings.warn(
-                f"norm ladder capped at {n_used} of {n_max} levels: "
+                f"norm ladder capped at {n_used} of {LADDER_LEVELS} levels: "
                 f"|u|max**q would overflow beyond q={q_cap:.3g}",
                 RuntimeWarning,
                 stacklevel=2,
@@ -165,8 +169,8 @@ class CaccioppoliChainError(RuntimeError):
 
 
 def verify_caccioppoli_step(spec: ProblemSpec, u: np.ndarray, alpha: float,
-                            M: float, grad_tol: float = 1e-8,
-                            sobolev_constant: float | None = None) -> float:
+                            M: float, *, grad_tol: float,
+                            sobolev_constant: float) -> float:
     """Residual of the tested equation at test function ``g_trunc(u)``,
     plus the chained norm inequality it implies.
 
@@ -178,12 +182,11 @@ def verify_caccioppoli_step(spec: ProblemSpec, u: np.ndarray, alpha: float,
         S**-2 eps**(2s) (2/(alpha+1))**2 * |u uM**((alpha-1)/2)|_{q*}^2
             <= integral f(u) u uM**(alpha-1)
 
-    is then checked directly; violation raises CaccioppoliChainError.  When
-    no constant is passed, S is the measured extremal constant of the scaled
-    embedding (:func:`~fracneumann.operators.estimate_embedding_constant`),
-    which is the constant this inequality actually requires; the zero-mean
-    regional quotient is smaller on smooth bumps and would flag spurious
-    violations.
+    is then checked directly; violation raises CaccioppoliChainError.
+    ``S = sobolev_constant`` is the extremal constant of the scaled embedding
+    (:func:`~fracneumann.operators.estimate_embedding_constant`), which is
+    the constant this inequality actually requires; the zero-mean regional
+    quotient is smaller on smooth bumps and would flag spurious violations.
     """
     _validate_trunc(alpha, M)
     u = _check_size(spec.op, u)
@@ -197,10 +200,6 @@ def verify_caccioppoli_step(spec: ProblemSpec, u: np.ndarray, alpha: float,
     fu = f_eval(spec.nonlinearity, u[:ni])
     rhs = vol * float(fu @ gu[:ni])
     residual = abs(form - rhs)
-
-    if sobolev_constant is None:
-        from .operators import estimate_embedding_constant
-        sobolev_constant = estimate_embedding_constant(op)
 
     ui = np.maximum(u[:ni], 0.0)
     um = np.minimum(ui, M)

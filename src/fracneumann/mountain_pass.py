@@ -15,9 +15,8 @@ Certificates attached to a solve:
   * level positivity against the explicit sphere bound
     ``delta = rho^2 (a - A rho^(p-2))`` with ``a = SPHERE_A`` and
     ``A = S^2 eps^(-2s)``, where ``S`` is the constant of the scaled embedding
-    ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``
-    (:func:`~fracneumann.operators.estimate_embedding_constant`, the default
-    and what the sweep passes; the Moser chain checks use the same ``S``);
+    ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``, which the caller passes (the
+    runners pass :func:`~fracneumann.operators.estimate_embedding_constant`);
   * nonnegativity via the energy of the negative part;
   * non-constancy via the ratio of the level to the energy
     ``(1/2 - 1/p) |domain|`` of the constant solution 1, the only positive
@@ -34,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (bilinear_form, estimate_embedding_constant,
-                        _graph_laplacian_apply, _reduced_matrix)
+from .operators import bilinear_form, _graph_laplacian_apply, _reduced_matrix
 from .problem import (
     ProblemSpec,
     energy_gradient,
@@ -44,7 +42,7 @@ from .problem import (
     _point_terms,
     _reaction,
 )
-from .tent import TentThresholds, thresholds
+from .tent import TentThresholds
 
 __all__ = [
     "MPAConfig",
@@ -108,16 +106,15 @@ class SolveReport:
     max_energy_history: np.ndarray = field(repr=False)
 
 
-def endpoint(spec: ProblemSpec, phi: np.ndarray,
-             tent: TentThresholds | None = None, with_terms: bool = False):
-    """Path endpoint ``e = t2 * phi`` with certified negative energy.
+def endpoint(spec: ProblemSpec, phi: np.ndarray, tent: TentThresholds,
+             with_terms: bool = False):
+    """Path endpoint ``e = t2 * phi`` with certified negative energy, ``t2``
+    from the :func:`~fracneumann.tent.thresholds` ``tent`` of ``phi``.
 
     ``with_terms`` returns ``(e, terms)`` instead: ``terms`` are ``(energy,
     bilinear_form(e, e), gradient)`` from the kernel apply that certified
     ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
     """
-    if tent is None:
-        tent = thresholds(spec, phi)
     e = tent.t2 * phi
     terms = _point_terms(spec, e)
     if terms[0] >= 0.0:
@@ -390,9 +387,8 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
     return u, used
 
 
-def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
-                        sobolev_constant: float | None = None,
-                        e_terms=None) -> SolveReport:
+def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
+                        sobolev_constant: float, e_terms=None) -> SolveReport:
     """Deform the segment path from 0 to ``e`` onto a critical point.
 
     Phase one flows the interior points of a ``PATH_POINTS``-point path
@@ -406,9 +402,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     incumbent lies below the sphere bound ``delta`` has crossed the mountain
     at every sample; it warns and is reported not converged.
 
-    ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound;
-    ``None`` estimates it with
-    :func:`~fracneumann.operators.estimate_embedding_constant`.
+    ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound.
     ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
     a second kernel apply to ``e``; ``None`` computes them.
     """
@@ -420,9 +414,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig,
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
-    s_const = (estimate_embedding_constant(op) if sobolev_constant is None
-               else float(sobolev_constant))
-    rho, delta = _sphere_bound(spec, s_const)
+    rho, delta = _sphere_bound(spec, sobolev_constant)
     e_norm = e_norm_sq ** 0.5
     if e_norm <= rho:
         raise RuntimeError(

@@ -57,6 +57,9 @@ __all__ = [
 
 DENSE_ENTRY_BUDGET = 3000**2
 CONVOLUTION_MIN_ENTRIES = 200  # dense entries per convolution grid cell
+# iteration caps and relative gradient stops of the two constant estimators
+SOBOLEV_MAX_ITER, SOBOLEV_RTOL = 4000, 1e-11
+EMBEDDING_MAX_ITER, EMBEDDING_RTOL = 2000, 1e-10
 
 
 def normalization_constant(dim: int, s: float) -> float:
@@ -395,44 +398,32 @@ def _identity_terms(op: FormOperator, lap: np.ndarray, uv=None):
 
 
 def check_integration_by_parts(op: FormOperator, u: np.ndarray,
-                               v: np.ndarray) -> float | np.ndarray:
-    """Residual of the discrete Green identity.
+                               v: np.ndarray) -> tuple:
+    """Residual and magnitude scale of the discrete Green identity.
 
     Both sides are evaluated from the module's own operators:
     the seminorm form on one side, the fractional Laplacian tested against v
     on the domain plus the normal derivative tested against v on the collar
-    on the other.  Sharing one weight set makes the residual pure roundoff.
-    Stacks of ``u`` and ``v`` give one residual per row.
+    on the other.  Sharing one weight set makes the residual pure roundoff;
+    the scale pairs ``|v|`` with ``|flux u|``.  Stacks give arrays, per row.
     """
     uv = np.stack([_check_size(op, u, stack=True),
                    _check_size(op, v, "v", stack=True)], axis=-2)
     lap = np.stack([_graph_laplacian_apply(op, w) for w in np.moveaxis(uv, -2, 0)], -2)
-    return _scalar(_identity_terms(op, lap, uv)[1][0])
+    return tuple(map(_scalar, _identity_terms(op, lap, uv)[1]))
 
 
-def ibp_scale(op: FormOperator, u: np.ndarray,
-              v: np.ndarray) -> float | np.ndarray:
-    """Magnitude scale of the Green identity terms, for relative residuals."""
-    u = _check_size(op, u, stack=True)
-    v = _check_size(op, v, "v", stack=True)
-    return _scalar(_pairing(op, np.abs(v), np.abs(_flux(op, u))))
-
-
-def check_divergence(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
-    """Residual of the discrete Gauss identity
+def check_divergence(op: FormOperator, u: np.ndarray) -> tuple:
+    """Residual and magnitude scale of the discrete Gauss identity
 
     ``integral over domain of the fractional Laplacian
       + integral over collar of the normal derivative = 0``,
 
-    one per row for a stack.
+    with the same integral of ``|flux u|`` as scale; arrays, per row, for
+    a stack.
     """
     lap = _graph_laplacian_apply(op, _check_size(op, u, stack=True))
-    return _scalar(_identity_terms(op, lap)[0][0])
-
-
-def divergence_scale(op: FormOperator, u: np.ndarray) -> float | np.ndarray:
-    lap = _graph_laplacian_apply(op, _check_size(op, u, stack=True))
-    return _scalar(_identity_terms(op, lap)[0][1])
+    return tuple(map(_scalar, _identity_terms(op, lap)[0]))
 
 
 def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -532,8 +523,7 @@ def _ascend(apply_b, project, q: float, vol: float, u: np.ndarray,
     return val, u
 
 
-def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
-                              rtol: float = 1e-11) -> float:
+def estimate_sobolev_constant(op: FormOperator) -> float:
     """Infimum of the regional Rayleigh quotient over zero-mean functions.
 
     ``sqrt(regional seminorm) / Lq norm`` with ``q`` the critical exponent,
@@ -542,7 +532,7 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     seminorm vanishes on constants while the Lq norm does not, which would
     drive the literal infimum to zero.
 
-    Non-convergence is reported with a warning, not an error; the last
+    Reaching ``SOBOLEV_MAX_ITER`` warns rather than raises; the last
     iterate's quotient is returned.
     """
     xi = op.mesh.interior_nodes
@@ -551,13 +541,12 @@ def estimate_sobolev_constant(op: FormOperator, max_iter: int = 4000,
     # deterministic low-frequency start: the first coordinate, centered
     val, _ = _ascend(lambda v: _laplacian(w, d, v), lambda v: v - v.mean(),
                      critical_exponent(op.mesh.dim, op.s), op.mesh.cell_volume,
-                     op.mesh.interior_nodes[:, 0], max_iter, rtol,
-                     "Sobolev quotient minimization")
+                     op.mesh.interior_nodes[:, 0], SOBOLEV_MAX_ITER,
+                     SOBOLEV_RTOL, "Sobolev quotient minimization")
     return float((1.0 / val) ** 0.5)
 
 
-def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
-                                rtol: float = 1e-10) -> float:
+def estimate_embedding_constant(op: FormOperator) -> float:
     """Largest constant of the scaled embedding inequality:
 
         sup over u of  eps^(2s) |u|_{q}^2 / bilinear_form(u, u),
@@ -569,8 +558,8 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
     seminorm-dominated.  Maximized over interior values with the collar
     eliminated (:func:`_reduced_matrix`) by :func:`_ascend` from a
     deterministic bump profile, with ``B = eps^(-2s) bilinear_form``;
-    reaching ``max_iter`` warns.  Returns the full-form quotient of the
-    maximizer's :func:`exterior_extension`.
+    reaching ``EMBEDDING_MAX_ITER`` warns.  Returns the full-form quotient of
+    the maximizer's :func:`exterior_extension`.
     """
     q = critical_exponent(op.mesh.dim, op.s)
     m, d = _reduced_matrix(op)
@@ -582,7 +571,7 @@ def estimate_embedding_constant(op: FormOperator, max_iter: int = 2000,
         u += 1.0
     b_diag = d + vol / e2s  # B v = b_diag v - M v: a mass term, no centring
     _, u = _ascend(lambda v: b_diag * v - m @ v,
-                   lambda v: v, q, vol, u, max_iter, rtol,
+                   lambda v: v, q, vol, u, EMBEDDING_MAX_ITER, EMBEDDING_RTOL,
                    "embedding quotient maximization")
     lift = exterior_extension(op, u)
     return float((e2s * _lq_norm(u, vol, q) ** 2

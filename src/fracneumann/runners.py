@@ -12,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .mountain_pass import (
     SolveReport,
     apriori_norm_certificate,
     endpoint,
     mountain_pass_solve,
 )
-from .moser import CaccioppoliChainError, norm_ladder, verify_caccioppoli_step
+from .moser import (CaccioppoliChainError, g_trunc, norm_ladder,
+                    verify_caccioppoli_step)
 from .operators import (
     _centered,
     _graph_laplacian_apply,
@@ -49,22 +50,13 @@ N_IDENTITY_FUNCTIONS = 100  # random Green pairs; Gauss checks both members
 IDENTITY_STACK = 20  # rows per kernel apply
 
 
-def run_identity_suite(cfg: RunConfig, out_dir: str | Path,
-                       corrupt_weight: bool = False) -> bool:
-    """Exercise the operator identities on the configured mesh.
-
-    ``corrupt_weight`` is a fault-injection hook for tests: it scales one
-    node's row sum, which leaves the apply unsymmetric on either weight
-    representation and must make the suite fail and name the broken
-    identities.
-    """
+def run_identity_suite(cfg: RunConfig, out_dir: str | Path) -> bool:
+    """Exercise the operator identities on the configured mesh."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eps = cfg.first_eps()
     mesh = cfg.build_mesh()
     op = assemble(mesh, cfg.s, eps)
-    if corrupt_weight:
-        op.row_sums[0] *= 1.5  # asymmetric: Gauss and Green must now fail
 
     rng = np.random.default_rng(cfg.seed)
     checks = []
@@ -135,14 +127,14 @@ class SweepResult:
 
 def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     """Mountain-pass solve per eps; emits CSV rows, summary JSON, solutions."""
-    from .config import ConfigError
-
     if not cfg.eps_list:
         raise ConfigError("sweep needs a nonempty eps_list")
+    mesh = cfg.build_mesh()
+    # every tent first: an eps that phi_eps rejects fails before any output
+    phis = [phi_eps(mesh, eps) for eps in cfg.eps_list]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    mesh = cfg.build_mesh()
     nl = cfg.nonlinearity()
     mpa = cfg.mpa_config()
     # The weights do not depend on eps: assemble once, rescale per eps.
@@ -150,9 +142,8 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     rows, tent_rows = [], []
     specs, reports, tents = [], [], []
 
-    for eps in cfg.eps_list:
+    for eps, phi in zip(cfg.eps_list, phis):
         spec = ProblemSpec(mesh, base.with_eps(eps), nl)
-        phi = phi_eps(mesh, eps)
         tent = thresholds(spec, phi)
         e, e_terms = endpoint(spec, phi, tent, with_terms=True)
         report = mountain_pass_solve(
@@ -186,7 +177,8 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
 
     write_csv(out / "sweep.csv",
               ["eps", "level", "level_over_epsN", "residual", "min_u",
-               "norm_sq", "norm_over_epsN", "nonconstancy_ratio", "converged"],
+               "norm_sq", "norm_over_epsN", "level_over_constant_energy",
+               "converged"],
               rows, cfg.config_sha256)
     write_csv(out / "tent_scaling.csv",
               ["eps", "C_est", "t1", "t2", "g_max", "bound"],
@@ -237,8 +229,6 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     equation matches the functional the solution solves, with the recorded
     ``grad_tol`` and ``s`` (an ``s`` not the config's raises ``ValueError``).
     """
-    from .moser import g_trunc
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mesh = cfg.build_mesh()

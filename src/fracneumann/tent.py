@@ -31,6 +31,9 @@ __all__ = [
     "thresholds",
 ]
 
+SIGMA_TOL = 1e-12  # bisection tolerance of solve_sigma
+SCAN_POINTS = 160  # ray samples per certificate scan of thresholds
+
 
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball in ``dim`` dimensions, ``2 pi^(dim/2) / (dim
@@ -81,13 +84,13 @@ def _sigma_gap(sigma: float, dim: int) -> float:
     return t**dim * poly - 0.5 * full
 
 
-def solve_sigma(dim: int, tol: float = 1e-12) -> float:
+def solve_sigma(dim: int) -> float:
     """The unique level sigma in (0, 1) at which the superlevel set
     ``{phi > sigma eps**(-dim)}`` carries half the squared mass of the tent.
 
-    Solved by bisection on the dimensionless half-mass equation; the
-    displayed equation carries the factor 1/2 on the full-mass side (without
-    it the root degenerates to sigma = 0).  In 1D the equation reduces to
+    Solved by bisection to ``SIGMA_TOL`` on the dimensionless half-mass
+    equation; the displayed equation carries the factor 1/2 on the full-mass
+    side (without it the root degenerates to sigma = 0).  In 1D the equation reduces to
     ``(t-1)^3 = -1/2`` and the root is ``sigma = 2**(-1/3)``.
     """
     if dim < 1:
@@ -97,7 +100,7 @@ def solve_sigma(dim: int, tol: float = 1e-12) -> float:
             "half-mass equation has no sign change on (0, 1); "
             "the tent-mass implementation is broken"
         )
-    return _bisect(lambda sigma: _sigma_gap(sigma, dim), 0.0, 1.0, tol)
+    return _bisect(lambda sigma: _sigma_gap(sigma, dim), 0.0, 1.0, SIGMA_TOL)
 
 
 def g_of_t(spec: ProblemSpec, phi: np.ndarray, t, *,
@@ -141,17 +144,16 @@ class TentThresholds:
     failures: list
 
 
-def thresholds(spec: ProblemSpec, phi: np.ndarray,
-               scan_points: int = 160) -> TentThresholds:
+def thresholds(spec: ProblemSpec, phi: np.ndarray) -> TentThresholds:
     """Compute the ray-energy thresholds (t1, t2) and the energy bound.
 
     The power model's superlinearity threshold is explicit:
     ``f(xi) >= R xi`` exactly when ``xi >= R**(1/(p-2))``.  The slope
     thresholds are taken at twice their minimal values (R1 = 4 C / K2,
     R2 = 2 C / K2, with C the measured tent energy ``eps**dim ||phi||^2``)
-    so the scan certificates are robust to quadrature error.  The scan
-    checks ``g'(t) < 0`` for sampled ``t > t1`` and ``g(t) < 0`` for sampled
-    ``t >= t2``; failures are collected, not raised.
+    so the scan certificates are robust to quadrature error.  The scans
+    check ``g'(t) < 0`` at ``SCAN_POINTS`` sampled ``t > t1`` and
+    ``g(t) < 0`` at as many ``t >= t2``; failures are collected, not raised.
     """
     eps, dim, p = spec.eps, spec.dim, spec.nonlinearity.p
     # the one kernel apply; ||phi||^2 as bilinear_form forms it
@@ -177,12 +179,12 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray,
     bound = c1 * eps**dim
 
     g_max = float(np.max(g_of_t(spec, phi,
-                                np.geomspace(1e-6, 10.0 * t2, scan_points),
+                                np.geomspace(1e-6, 10.0 * t2, SCAN_POINTS),
                                 semi=semi)))
-    ts = np.geomspace(1.01 * t1, 10.0 * t2, scan_points)
+    ts = np.geomspace(1.01 * t1, 10.0 * t2, SCAN_POINTS)
     failures = [("g_prime_nonnegative", float(t))
                 for t in ts[g_prime(spec, phi, ts, norm_sq=norm_sq) >= 0.0]]
-    ts = np.geomspace(t2, 10.0 * t2, scan_points)
+    ts = np.geomspace(t2, 10.0 * t2, SCAN_POINTS)
     failures += [("g_nonnegative", float(t))
                  for t in ts[g_of_t(spec, phi, ts, semi=semi) >= 0.0]]
     if g_max > bound:

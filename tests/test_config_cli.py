@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracneumann as fn
-from fracneumann import mountain_pass, operators, problem, runners
+from fracneumann import moser, mountain_pass, operators, problem, runners
 from fracneumann.cli import main
 from fracneumann.config import ConfigError, load_config, parse_config
 from fracneumann.mountain_pass import _sphere_bound
@@ -145,12 +145,20 @@ class TestIdentitySuite:
                 "dilation_identity_relative"} <= names
         assert report["manifest"]["config_sha256"] == cfg.config_sha256
 
-    def test_fault_injection_fails_and_names_identity(self, tmp_path):
-        # on the dense blocks (QUICK_SWEEP) and on a lattice stencil
-        # (reference_1d) alike
+    def test_fault_injection_fails_and_names_identity(self, tmp_path,
+                                                      monkeypatch):
+        # one node's row sum scaled leaves the apply unsymmetric, on the
+        # dense blocks (QUICK_SWEEP) and on a lattice stencil (reference_1d)
+        # alike
+        def corrupted(*args):
+            op = operators.assemble(*args)
+            op.row_sums[0] *= 1.5
+            return op
+
+        monkeypatch.setattr(runners, "assemble", corrupted)
         for name, cfg in (("dense", parse_config(QUICK_SWEEP)),
                           ("lattice", load_config(CONFIGS[0].parent / "reference_1d.cfg"))):
-            ok = run_identity_suite(cfg, tmp_path / name, corrupt_weight=True)
+            ok = run_identity_suite(cfg, tmp_path / name)
             assert not ok
             report = json.loads((tmp_path / name / "identities.json").read_text())
             failed = {c["name"] for c in report["checks"] if not c["pass"]}
@@ -210,6 +218,15 @@ class TestSweepRunner:
                      "plot_sweep.gp", "solution_eps_0.3.txt",
                      "solution_eps_0.15.txt"):
             assert (tmp_path / name).exists(), name
+        lines = [ln for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        header = lines[0].split(",")
+        # plot_sweep.gp plots columns 3 and 7 against column 1
+        assert header[0] == "eps" and header[2] == "level_over_epsN"
+        assert header[6] == "norm_over_epsN"
+        assert header[7] == "level_over_constant_energy"
+        for line, rep in zip(lines[1:], result.reports):
+            assert float(line.split(",")[7]) == rep.energy_vs_constant
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert summary["level_over_epsN"]["ratio"] >= 1.0
         assert summary["smallest_eps_level_vs_constant"] < 1.0
@@ -359,6 +376,47 @@ class TestSweepRunner:
         cfg = parse_config(QUICK_SWEEP.replace("eps_list = 0.3, 0.15\n", ""))
         with pytest.raises(ConfigError, match="eps_list"):
             run_scaling_sweep(cfg, tmp_path)
+
+    def test_bad_eps_fails_before_any_assembly_or_output(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # eps=1.5 leaves the domain; eps=0.3 before it must not be solved
+        path = tmp_path / "bad_eps.cfg"
+        path.write_text((CONFIGS[0].parent / "quick_1d.cfg").read_text()
+                        .replace("eps_list = 0.3, 0.15", "eps_list = 0.3, 1.5"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return operators.assemble(*args, **kwargs)
+
+        monkeypatch.setattr(runners, "assemble", counted)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "eps=1.5 too large" in capsys.readouterr().err
+        assert list(out.iterdir()) == [] and calls == []
+
+    def test_one_embedding_estimate_per_eps(self, tmp_path, monkeypatch):
+        # the runner decides which S the certificates use, once per eps;
+        # the solver modules no longer bind the estimator
+        calls = []
+        estimate = operators.estimate_embedding_constant
+
+        def spy(op):
+            calls.append(op.eps)
+            return estimate(op)
+
+        monkeypatch.setattr(runners, "estimate_embedding_constant", spy)
+        for module in (mountain_pass, moser):
+            assert not hasattr(module, "estimate_embedding_constant")
+        cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
+        assert run_scaling_sweep(cfg, tmp_path / "sweep").certificates_ok
+        assert calls == cfg.eps_list
+        calls.clear()
+        assert run_moser_check(cfg, tmp_path / "sweep" / "solution_eps_0.15.txt",
+                               tmp_path / "moser")
+        assert calls == [0.15]
 
 
 class TestMoserRunner:

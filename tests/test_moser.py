@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import fracneumann as fn
+from fracneumann import moser
 
 
 class TestTruncatedPowers:
@@ -79,28 +80,32 @@ class TestDifferenceInequality:
 
 
 class TestNormLadder:
-    def test_beta_sequence_rule(self, solved_problem):
+    def test_beta_sequence_rule(self, solved_problem, monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 6)
         spec, rep = solved_problem["spec"], solved_problem["report"]
-        ladder = fn.norm_ladder(spec, rep.u, n_max=6)
+        ladder = fn.norm_ladder(spec, rep.u)
         # 2*_s = 4 at N=1, s=1/4, so beta doubles each level
         np.testing.assert_allclose(ladder.beta,
                                    2.0 ** np.arange(ladder.n_used), rtol=0)
         np.testing.assert_allclose(ladder.q_upper, 4.0 * ladder.beta, rtol=0)
 
-    def test_beta_doubles_in_2d_at_half_order(self):
+    def test_beta_doubles_in_2d_at_half_order(self, monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 6)
         # N=2, s=1/2 gives critical exponent 4, so beta_n = 2^(n-1)
         mesh = fn.build_box_mesh(((0.0, 1.0), (0.0, 1.0)), 0.25, 2.0)
         op = fn.assemble(mesh, s=0.5, eps=0.3)
         spec = fn.ProblemSpec(mesh, op, fn.power_nonlinearity(3.0))
         assert spec.two_star == pytest.approx(4.0)
-        ladder = fn.norm_ladder(spec, np.ones(mesh.n_total), n_max=6)
+        ladder = fn.norm_ladder(spec, np.ones(mesh.n_total))
         np.testing.assert_allclose(ladder.beta, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
                                    rtol=0)
         np.testing.assert_allclose(ladder.q_upper, 4.0 * ladder.beta, rtol=0)
 
-    def test_partial_sums_match_geometric_closed_form(self, solved_problem):
+    def test_partial_sums_match_geometric_closed_form(self, solved_problem,
+                                                      monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 8)
         spec, rep = solved_problem["spec"], solved_problem["report"]
-        ladder = fn.norm_ladder(spec, rep.u, n_max=8)
+        ladder = fn.norm_ladder(spec, rep.u)
         r = 2.0 / spec.two_star
         n = ladder.n_used
         gamma1_closed = (1.0 - r**n) / (1.0 - r)
@@ -111,7 +116,7 @@ class TestNormLadder:
     def test_constant_function(self, solved_problem):
         spec = solved_problem["spec"]
         u = np.ones(spec.mesh.n_total)
-        ladder = fn.norm_ladder(spec, u, n_max=12)
+        ladder = fn.norm_ladder(spec, u)
         # |1|_q = |domain|^(1/q) decreases toward 1 on the unit-height level
         measure = spec.mesh.domain_measure()
         np.testing.assert_allclose(ladder.norms_upper,
@@ -119,7 +124,8 @@ class TestNormLadder:
         assert ladder.actual_max == 1.0
         assert ladder.sup_estimate >= 1.0
 
-    def test_sup_estimate_dominates_max(self, solved_problem):
+    def test_sup_estimate_dominates_max(self, solved_problem, monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 10)
         spec, rep = solved_problem["spec"], solved_problem["report"]
         rng = np.random.default_rng(3)
         candidates = [
@@ -129,14 +135,15 @@ class TestNormLadder:
             np.abs(rng.standard_normal(spec.mesh.n_total)),
         ]
         for u in candidates:
-            ladder = fn.norm_ladder(spec, u, n_max=10)
+            ladder = fn.norm_ladder(spec, u)
             assert ladder.sup_estimate >= ladder.actual_max
 
-    def test_normalized_norms_nondecreasing(self, solved_problem):
+    def test_normalized_norms_nondecreasing(self, solved_problem, monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 8)
         spec = solved_problem["spec"]
         rng = np.random.default_rng(8)
         u = rng.standard_normal(spec.mesh.n_total)
-        ladder = fn.norm_ladder(spec, u, n_max=8)
+        ladder = fn.norm_ladder(spec, u)
         mass = spec.mesh.domain_measure()
         qs = np.concatenate([ladder.q_lower, ladder.q_upper])
         order = np.argsort(qs)
@@ -148,13 +155,14 @@ class TestNormLadder:
         spec = solved_problem["spec"]
         u = np.full(spec.mesh.n_total, 40.0)
         with pytest.warns(RuntimeWarning, match="capped"):
-            ladder = fn.norm_ladder(spec, u, n_max=12)
-        assert ladder.n_used < 12
+            ladder = fn.norm_ladder(spec, u)
+        assert ladder.n_used < moser.LADDER_LEVELS == 12
         assert ladder.sup_estimate >= ladder.actual_max
 
-    def test_zero_function(self, solved_problem):
+    def test_zero_function(self, solved_problem, monkeypatch):
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 5)
         spec = solved_problem["spec"]
-        ladder = fn.norm_ladder(spec, np.zeros(spec.mesh.n_total), n_max=5)
+        ladder = fn.norm_ladder(spec, np.zeros(spec.mesh.n_total))
         assert ladder.actual_max == 0.0
         assert ladder.sup_estimate == 0.0
 

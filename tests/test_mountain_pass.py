@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fracneumann as fn
-from fracneumann import mountain_pass
+from fracneumann import moser, mountain_pass
 from fracneumann.mountain_pass import (DESCENT_STEP, NEWTON_MAX_STEPS,
                                        PATH_POINTS, SEGMENT_SAMPLES,
                                        SPHERE_A, _newton_polish, _PathState,
@@ -217,7 +217,8 @@ class TestFlowStep:
         mesh = fn.build_interval_mesh(-1.0, 1.0, 0.02, 2.0)
         spec = fn.ProblemSpec(mesh, fn.assemble(mesh, 0.25, 0.1),
                               fn.power_nonlinearity(3.0))
-        e = fn.endpoint(spec, fn.phi_eps(mesh, 0.1))
+        phi = fn.phi_eps(mesh, 0.1)
+        e = fn.endpoint(spec, phi, fn.thresholds(spec, phi))
         state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e)
         steps = np.full(PATH_POINTS - 2, DESCENT_STEP)
         counts = []
@@ -265,7 +266,9 @@ class TestSolve:
         assume(fn.energy(spec, e) < 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
+            rep = fn.mountain_pass_solve(
+                spec, e, fn.MPAConfig(),
+                sobolev_constant=fn.estimate_embedding_constant(spec.op))
         hist = rep.max_energy_history
         assert len(hist) == rep.flow_sweeps > 0
         assert np.all(np.diff(hist) <= 0.0)
@@ -285,7 +288,9 @@ class TestSolve:
         assume(fn.energy(spec, e) < 0.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
+            rep = fn.mountain_pass_solve(
+                spec, e, fn.MPAConfig(),
+                sobolev_constant=fn.estimate_embedding_constant(spec.op))
         crossed = rep.max_energy_history[-1] < rep.delta
         named = [str(w.message) for w in caught
                  if "through the mountain" in str(w.message)]
@@ -345,7 +350,8 @@ class TestSolve:
         spec = solved_problem["spec"]
         bad = 0.01 * solved_problem["phi"]
         with pytest.raises(ValueError, match="negative energy"):
-            fn.mountain_pass_solve(spec, bad, fn.MPAConfig())
+            fn.mountain_pass_solve(spec, bad, fn.MPAConfig(),
+                                   sobolev_constant=solved_problem["sobolev"])
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="grad_tol"):
@@ -421,7 +427,8 @@ def solved_square():
     mesh = fn.build_box_mesh(((-0.75, 0.75), (-0.75, 0.75)), 0.25, 2.2)
     op = fn.assemble(mesh, 0.4, 0.3)
     spec = fn.ProblemSpec(mesh, op, fn.power_nonlinearity(3.0))
-    e = fn.endpoint(spec, fn.phi_eps(mesh, 0.3))
+    phi = fn.phi_eps(mesh, 0.3)
+    e = fn.endpoint(spec, phi, fn.thresholds(spec, phi))
     rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
                                  sobolev_constant=fn.estimate_sobolev_constant(op))
     assert rep.converged
@@ -540,7 +547,7 @@ class TestNewtonSolveThreads:
 
 
 class TestTwoDimensional:
-    def test_full_pipeline_on_a_square(self):
+    def test_full_pipeline_on_a_square(self, monkeypatch):
         mesh = fn.build_box_mesh(((-0.75, 0.75), (-0.75, 0.75)), 0.25, 2.2)
         op = fn.assemble(mesh, 0.4, 0.3)
         spec = fn.ProblemSpec(mesh, op, fn.power_nonlinearity(3.0))
@@ -556,7 +563,8 @@ class TestTwoDimensional:
         assert rep.min_u >= -1e-8 * float(np.max(np.abs(rep.u)))
         assert not rep.constant_capture
 
-        ladder = fn.norm_ladder(spec, rep.u, n_max=10)
+        monkeypatch.setattr(moser, "LADDER_LEVELS", 10)
+        ladder = fn.norm_ladder(spec, rep.u)
         assert ladder.sup_estimate >= ladder.actual_max
         embedding = fn.estimate_embedding_constant(op)
         resid = fn.verify_caccioppoli_step(spec, rep.u, 3.0,

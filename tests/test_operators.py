@@ -14,8 +14,7 @@ from fracneumann import operators
 from fracneumann.config import load_config
 from fracneumann.operators import (_centered, _flux, _graph_laplacian_apply,
                                    _identity_terms, _reduced_matrix,
-                                   _regional_seminorm, divergence_scale,
-                                   ibp_scale)
+                                   _regional_seminorm)
 
 from conftest import dense_weights, random_grid_function, small_operators
 
@@ -404,8 +403,8 @@ class TestIdentities:
         op = request.getfixturevalue(opname)
         for seed in range(10):
             u = random_grid_function(op.mesh, 200 + seed)
-            resid = fn.check_divergence(op, u)
-            assert resid <= 1e-12 * divergence_scale(op, u)
+            resid, scale = fn.check_divergence(op, u)
+            assert resid <= 1e-12 * scale
 
     @pytest.mark.parametrize("opname", ["op_1d", "op_2d"])
     def test_green_identity_random(self, opname, request):
@@ -413,21 +412,21 @@ class TestIdentities:
         for seed in range(10):
             u = random_grid_function(op.mesh, 300 + seed)
             v = random_grid_function(op.mesh, 400 + seed)
-            resid = fn.check_integration_by_parts(op, u, v)
-            assert resid <= 1e-12 * ibp_scale(op, u, v)
+            resid, scale = fn.check_integration_by_parts(op, u, v)
+            assert resid <= 1e-12 * scale
 
     @pytest.mark.parametrize("check, applies", [
         (lambda op, u, v: fn.check_divergence(op, u), 1),
-        (lambda op, u, v: divergence_scale(op, u), 1),
         (fn.check_integration_by_parts, 2),
-        (ibp_scale, 1),
-    ], ids=["gauss", "gauss_scale", "green", "green_scale"])
+    ], ids=["gauss", "green"])
     def test_one_flux_per_check(self, check, applies, op_2d, apply_counter):
         # the Laplacian and the normal derivative are rows of one flux, so
-        # each check applies the kernel to u once (Green adds the seminorm)
+        # each check applies the kernel to u once (Green adds the seminorm),
+        # and its scale reads the same applies
         u = random_grid_function(op_2d.mesh, 5)
         v = random_grid_function(op_2d.mesh, 6)
-        check(op_2d, u, v)
+        resid, scale = check(op_2d, u, v)
+        assert 0.0 <= resid < scale
         assert len(apply_counter) == applies
 
     @settings(max_examples=60, deadline=None)
@@ -439,11 +438,9 @@ class TestIdentities:
         if constant_row:
             u[0] = 1.7  # exact zeros on both paths
         gauss = (lambda u, v: tuple(x[..., 0] for x in shared_pass(op, u, v)[0]),
-                 lambda u, v: (fn.check_divergence(op, u),
-                               divergence_scale(op, u)))
+                 lambda u, v: fn.check_divergence(op, u))
         green = (lambda u, v: shared_pass(op, u, v)[1],
-                 lambda u, v: (fn.check_integration_by_parts(op, u, v),
-                               ibp_scale(op, u, v)))
+                 lambda u, v: fn.check_integration_by_parts(op, u, v))
         for terms in gauss + green:
             resid, scale = terms(u, v)
             assert resid.shape == scale.shape == (k,)
@@ -458,7 +455,7 @@ class TestIdentities:
         ext = fn.exterior_extension(op, w)
         # roundoff scales: the Green terms for the form, and for one flux
         # value its row sum times the largest pair difference
-        green_scale = ibp_scale(op, u, v)
+        green_scale = fn.check_integration_by_parts(op, u, v)[1]
         flux_scale = 2.0 * op.row_sums.max() / op.mesh.cell_volume
         for i in range(k):
             assert abs(semi[i] - fn.seminorm_form(op, u[i], v[i])) \
@@ -480,12 +477,10 @@ class TestIdentities:
         assert r_res.shape == r_scale.shape == (k,)
         for i in range(k):
             for j in range(2):
-                scale = divergence_scale(op, uv[i, j])
-                assert abs(g_res[i, j] - fn.check_divergence(op, uv[i, j])) \
-                    <= 1e-15 * scale
+                resid, scale = fn.check_divergence(op, uv[i, j])
+                assert abs(g_res[i, j] - resid) <= 1e-15 * scale
                 assert abs(g_scale[i, j] - scale) <= 1e-13 * scale
-            scale = ibp_scale(op, uv[i, 0], uv[i, 1])
-            resid = fn.check_integration_by_parts(op, uv[i, 0], uv[i, 1])
+            resid, scale = fn.check_integration_by_parts(op, uv[i, 0], uv[i, 1])
             assert abs(r_res[i] - resid) <= 1e-15 * scale
             assert abs(r_scale[i] - scale) <= 1e-13 * scale
 
@@ -497,14 +492,17 @@ class TestIdentities:
         semi = float(_centered(u) @ _graph_laplacian_apply(op_2d, v))
         rhs = vol * float(v[:ni] @ flux[:ni]) + vol * float(v[ni:] @ flux[ni:])
         afl = np.abs(flux)
+        gauss = fn.check_divergence(op_2d, u)
+        green = fn.check_integration_by_parts(op_2d, u, v)
+        assert type(gauss) is type(green) is tuple
         pairs = [
-            (fn.check_divergence(op_2d, u),
+            (gauss[0],
              abs(vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:])))),
-            (divergence_scale(op_2d, u),
+            (gauss[1],
              vol * float(np.sum(afl[:ni])) + vol * float(np.sum(afl[ni:]))),
             (fn.seminorm_form(op_2d, u, v), semi),
-            (fn.check_integration_by_parts(op_2d, u, v), abs(semi - rhs)),
-            (ibp_scale(op_2d, u, v), vol * float(np.abs(v[:ni]) @ afl[:ni])
+            (green[0], abs(semi - rhs)),
+            (green[1], vol * float(np.abs(v[:ni]) @ afl[:ni])
              + vol * float(np.abs(v[ni:]) @ afl[ni:])),
         ]
         for got, expected in pairs:
@@ -513,7 +511,7 @@ class TestIdentities:
 
     def test_gauss_constant_exact_zero(self, op_1d, mesh_1d):
         c = np.full(mesh_1d.n_total, 1.3)
-        assert fn.check_divergence(op_1d, c) == 0.0
+        assert fn.check_divergence(op_1d, c) == (0.0, 0.0)
 
     def test_indicator_balances(self, op_1d, mesh_1d):
         u = np.zeros(mesh_1d.n_total)
@@ -527,8 +525,8 @@ class TestIdentities:
     def test_green_with_constant_v_reduces_to_gauss(self, op_1d, mesh_1d):
         u = random_grid_function(mesh_1d, 17)
         v = np.ones(mesh_1d.n_total)
-        resid = fn.check_integration_by_parts(op_1d, u, v)
-        assert resid <= 1e-12 * max(ibp_scale(op_1d, u, v), 1.0)
+        resid, scale = fn.check_integration_by_parts(op_1d, u, v)
+        assert resid <= 1e-12 * max(scale, 1.0)
 
     def test_seminorm_kernel_is_constants(self):
         # Second-smallest eigenvalue of the seminorm form is positive, so the
@@ -562,11 +560,17 @@ class TestSobolevConstant:
             assert lhs <= rhs
 
 
+# the module constant that caps each estimator's ascent
+ITERATION_CAP = {"estimate_sobolev_constant": "SOBOLEV_MAX_ITER",
+                 "estimate_embedding_constant": "EMBEDDING_MAX_ITER"}
+
+
 @pytest.mark.parametrize("estimator", [fn.estimate_sobolev_constant,
                                        fn.estimate_embedding_constant])
-def test_estimator_warns_at_iteration_cap(estimator, op_1d):
+def test_estimator_warns_at_iteration_cap(estimator, op_1d, monkeypatch):
+    monkeypatch.setattr(operators, ITERATION_CAP[estimator.__name__], 3)
     with pytest.warns(RuntimeWarning, match="iteration cap of 3"):
-        value = estimator(op_1d, max_iter=3)
+        value = estimator(op_1d)
     assert np.isfinite(value) and value > 0.0
 
 
@@ -652,16 +656,17 @@ class TestEmbeddingConstant:
                                         0.4201335394577539, 5.466084125156978),
          0.19514725883164763),
     ], ids=["box", "interval"])
-    def test_stalls_at_the_cap_near_its_limit(self, mesh, s):
+    def test_stalls_at_the_cap_near_its_limit(self, mesh, s, monkeypatch):
         # two small operators on which the ascent creeps up to its
         # 2,000-iteration cap: the cap warns, and the capped value is within
         # 1e-6 of a 40,000-iteration run, which stops on its own test
         op = fn.assemble(mesh(), s, 1.0)
         with pytest.warns(RuntimeWarning, match="iteration cap of 2000"):
             capped = fn.estimate_embedding_constant(op)
+        monkeypatch.setattr(operators, "EMBEDDING_MAX_ITER", 40_000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            converged = fn.estimate_embedding_constant(op, max_iter=40_000)
+            converged = fn.estimate_embedding_constant(op)
         assert capped <= converged
         assert capped == pytest.approx(converged, rel=1e-6)
 
@@ -770,8 +775,9 @@ class TestClosedFormLineSearch:
             return ascend(apply, *rest)
 
         monkeypatch.setattr(operators, "_ascend", counted)
+        monkeypatch.setattr(operators, ITERATION_CAP[estimator.__name__], max_iter)
         with pytest.warns(RuntimeWarning, match=f"cap of {max_iter}"):
-            estimator(op_1d, max_iter=max_iter)
+            estimator(op_1d)
         # the start, then one B g per iteration, whatever the trials
         assert len(applies) == max_iter + 1
         assert set(applies) == {(op_1d.n_interior,)}

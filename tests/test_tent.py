@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy import special
 
 import fracneumann as fn
+from fracneumann import tent as tent_module
 from fracneumann.tent import unit_ball_volume
 
 from conftest import energy_scale, small_problems
@@ -99,6 +100,12 @@ class TestSigma:
     def test_pinned_values(self):
         assert fn.solve_sigma(1) == 0.7937005259841499
         assert fn.solve_sigma(2) == 0.6142724318674482
+
+    def test_bisection_stops_at_its_tolerance(self, monkeypatch):
+        monkeypatch.setattr(tent_module, "SIGMA_TOL", 1e-4)
+        sigma = fn.solve_sigma(1)
+        assert sigma != 0.7937005259841499
+        assert abs(sigma - 2.0 ** (-1.0 / 3.0)) <= 1e-4
 
     def test_unique_sign_change_2d(self):
         from fracneumann.tent import _sigma_gap
@@ -215,6 +222,23 @@ class TestThresholds:
         spec, phi = tent_scene
         fn.thresholds(spec, phi)
         assert len(apply_counter) <= 4
+
+    def test_scans_take_scan_points_rays(self, tent_scene, monkeypatch):
+        # the g_max scan, then the g' and g certificate scans
+        spec, phi = tent_scene
+        sizes = []
+
+        def sized(ray):
+            def recorded(spec, phi, t, **kwargs):
+                sizes.append(np.size(t))
+                return ray(spec, phi, t, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(tent_module, "g_of_t", sized(fn.g_of_t))
+        monkeypatch.setattr(tent_module, "g_prime", sized(fn.g_prime))
+        monkeypatch.setattr(tent_module, "SCAN_POINTS", 7)
+        assert fn.thresholds(spec, phi).t2 > 0.0
+        assert sizes == [7, 7, 7]
 
     def test_kernel_applied_once(self, tent_scene, apply_counter):
         # [phi]^2 once; ||phi||^2 and all three scans reuse it
