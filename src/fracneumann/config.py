@@ -138,6 +138,10 @@ def parse_config(text: str) -> RunConfig:
         if not items:
             raise ConfigError("eps_list is empty: give at least one eps value")
         cfg.eps_list = [_parse_float("eps_list", x) for x in items]
+        names = [f"{x:g}" for x in cfg.eps_list]  # the sweep's output file names
+        if clash := [x for x, name in zip(items, names) if names.count(name) > 1]:
+            raise ConfigError(f"eps_list values {', '.join(clash)} would write the "
+                              "same output files: give distinct eps values")
     if "solver.grad_tol" in pairs and pairs["solver.grad_tol"].lower() != "auto":
         cfg.grad_tol = _parse_float("solver.grad_tol", pairs["solver.grad_tol"])
     if "seed" in pairs:

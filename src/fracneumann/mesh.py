@@ -32,6 +32,10 @@ class DomainMesh:
         h: grid spacing.
         r_ext: collar truncation radius measured from the domain.
         lo, hi: (dim,) lower and upper corners of the box.
+        cells: (n_total, dim) integer lattice cell ``k`` of every node,
+            interior block first, negative below ``lo``: the node is the
+            centre ``lo + (k + 1/2) h``.  Reversing either node list
+            reflects it through the box centre, so ``n_ext`` is even.
     """
 
     interior_nodes: np.ndarray
@@ -41,6 +45,7 @@ class DomainMesh:
     r_ext: float
     lo: np.ndarray
     hi: np.ndarray
+    cells: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -113,31 +118,34 @@ def build_box_mesh(bounds, h: float, r_ext: float) -> DomainMesh:
     cells, from each center's half-integer offsets past the box, so rounding
     in the coordinates never moves a cell in or out of the collar.  Both
     node lists are in lexicographic order, so reversing either reflects it
-    through the box centre.
+    through the box centre.  Each node's cell ``k`` is kept as ``cells``.
     """
     lo, hi = check_box(bounds, h, r_ext)
     reach = r_ext / h
     m = int(round(reach))
     below = np.arange(m, 0, -1) - 0.5
     above = np.arange(m) + 0.5
-    axes, gaps = [], []
-    for a, b in zip(lo, hi):
-        n = int(round((b - a) / h))
-        axes.append(np.concatenate([a - below * h, a + (np.arange(n) + 0.5) * h,
-                                    b + above * h]))
-        gaps.append(np.concatenate([below, np.zeros(n), above]))
-    dim = len(axes)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    n = np.round((hi - lo) / h).astype(np.intp)
+    axes = [np.concatenate([a - below * h, a + (np.arange(k) + 0.5) * h, b + above * h])
+            for a, b, k in zip(lo, hi, n)]
+    gaps = [np.concatenate([below, np.zeros(k), above]) for k in n]
     # squared distance in cells: sums of squared half-integers, exact
     gap_sq = sum(np.meshgrid(*[g * g for g in gaps], indexing="ij")).ravel()
+    inside = np.flatnonzero(gap_sq == 0.0)
+    collar = np.flatnonzero((gap_sq > 0.0) & (gap_sq <= reach * reach))
+    cells = np.stack(np.unravel_index(np.concatenate([inside, collar]), n + 2 * m),
+                     axis=-1)
+    nodes = np.stack([x[k] for x, k in zip(axes, cells.T)], axis=-1)
+    cells -= m
     return DomainMesh(
-        interior_nodes=pts[gap_sq == 0.0],
-        exterior_nodes=pts[(gap_sq > 0.0) & (gap_sq <= reach * reach)],
-        cell_volume=math.prod([h] * dim),
+        interior_nodes=nodes[:inside.size],
+        exterior_nodes=nodes[inside.size:],
+        cell_volume=math.prod([h] * len(n)),
         h=h,
         r_ext=r_ext,
         lo=lo,
         hi=hi,
+        cells=cells,
     )
 
 

@@ -10,9 +10,9 @@ collar nodes, and the energy bilinear form.  Because all three share the
 weights, the discrete analogues of the nonlocal Gauss and Green identities
 hold by pair-antisymmetry, up to floating-point roundoff only.  The set
 has two exact forms, and :func:`assemble` stores one per mesh: the dense
-blocks ``W_ii`` and ``W_ie`` on small meshes, or, as every node lies on the
-lattice ``lo + (k + 1/2) h``, one stencil over lattice offsets on large
-ones.  Every reader goes through the one apply or recomputes pair weights.
+blocks ``W_ii`` and ``W_ie`` on small meshes, or one stencil over the
+offsets between the lattice cells the mesh records on large ones.  Every
+reader goes through the one apply or recomputes pair weights.
 
 Conventions baked in here:
   * ``c_ns = 4**s * s * Gamma(dim/2 + s) / (pi**(dim/2) * Gamma(1 - s))``,
@@ -221,11 +221,11 @@ def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Full-mesh kernel application, the one shared by every operator:
     ``row_sums u - [W_ii u_i + W_ie u_e, W_ie^T u_i]`` on centered values,
     for one grid function or each row of a stack.  An operator that holds
-    the weights as a stencil takes the same sums by
-    :func:`_convolution_apply`; the rest read the dense blocks."""
-    if op.lattice is not None:
-        return _convolution_apply(op, u)
+    the weights as a stencil takes the same sums by :func:`_pair_sums`; the
+    rest read the dense blocks."""
     uc = _centered(u)
+    if op.lattice is not None:
+        return op.row_sums * uc - _pair_sums(op.lattice, op.n_interior, uc)
     ni = op.n_interior
     ui, ue = uc[..., :ni], uc[..., ni:]
     out = op.row_sums * uc
@@ -243,24 +243,17 @@ def _fft_size(n: int) -> int:
 
 def _lattice(mesh: DomainMesh, s: float):
     """``(spectrum, cells)``: the weights of order ``s`` as one stencil on a
-    periodic grid and each node's flat cell index.  None when the blocks
-    hold fewer than ``CONVOLUTION_MIN_ENTRIES`` entries per grid cell (a grid
-    has ``n_total`` cells or more, so smaller interiors never qualify), or
-    when a node lies over 1e-9 cells off the lattice ``lo + (k + 1/2) h``
-    (roundoff is about 1e-13).  An axis of ``2 reach + 1`` cells or more,
+    periodic grid and each node's flat cell index, from ``mesh.cells``.
+    None when the blocks hold fewer than ``CONVOLUTION_MIN_ENTRIES`` entries
+    per grid cell (a grid has ``n_total`` cells or more, so smaller
+    interiors never qualify).  An axis of ``2 reach + 1`` cells or more,
     ``reach`` the largest interior-to-any-node offset on it, gives every
     node a cell of its own and wraps no coupled pair."""
-    ni, entries = mesh.n_interior, mesh.n_interior * mesh.n_total
-    if ni < CONVOLUTION_MIN_ENTRIES:
-        return None
-    k = (mesh.nodes - mesh.lo) / mesh.h - 0.5
-    cells = np.round(k).astype(np.intp)
-    if np.any(np.abs(k - cells) > 1e-9):
-        return None
+    ni, cells = mesh.n_interior, mesh.cells
     reach = np.maximum(cells[:ni].max(0) - cells.min(0),
                        cells.max(0) - cells[:ni].min(0))
     shape = [_fft_size(2 * r + 1) for r in reach]
-    if entries < CONVOLUTION_MIN_ENTRIES * math.prod(shape):
+    if ni * mesh.n_total < CONVOLUTION_MIN_ENTRIES * math.prod(shape):
         return None
     dk = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")
     stencil = _pair_weights(mesh.h * np.stack(dk, -1).reshape(-1, mesh.dim),
@@ -286,16 +279,6 @@ def _pair_sums(lattice, ni: int, u: np.ndarray) -> np.ndarray:
     sums = grid.real[:, cells]
     sums[:, :ni] += grid.imag[:, cells[:ni]]
     return sums.reshape(u.shape)
-
-
-def _convolution_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
-    """:func:`_graph_laplacian_apply` on the stencil ``op.lattice`` (ValueError
-    when the operator holds dense blocks): ``row_sums u`` less the
-    :func:`_pair_sums` of the centered values."""
-    if op.lattice is None:
-        raise ValueError("the operator holds no lattice stencil")
-    uc = _centered(u)
-    return op.row_sums * uc - _pair_sums(op.lattice, op.n_interior, uc)
 
 
 def _flux(op: FormOperator, u: np.ndarray) -> np.ndarray:
@@ -433,24 +416,20 @@ def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
 
     Formed on first use from :func:`_pair_weights`, 256 collar columns of
     ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``.
-    Where reversing the node lists mirrors the mesh (to 1e-9 cells), the
-    collar's first half gives ``X = W_ii/2 + sum_e w_e w_e^T/d_e`` and ``M =
-    X + X[::-1, ::-1]``, exactly centrosymmetric; else the full collar sum."""
+    Reversing the mesh's node lists reflects it (:class:`DomainMesh`), so
+    the collar's first half gives ``X = W_ii/2 + sum_e w_e w_e^T/d_e`` and
+    ``M = X + X[::-1, ::-1]``, exactly centrosymmetric."""
     if not op.reduced:
-        mesh, ni = op.mesh, op.n_interior
-        xi, xe, vol = mesh.interior_nodes, mesh.exterior_nodes, mesh.cell_volume
-        mirrored = mesh.n_exterior % 2 == 0 and all(np.all(np.abs(
-            x + x[::-1] - mesh.lo - mesh.hi) <= 1e-9 * mesh.h) for x in (xi, xe))
-        stop = mesh.n_exterior // 2 if mirrored else mesh.n_exterior
+        mesh, ni, half = op.mesh, op.n_interior, op.mesh.n_exterior // 2
+        xi, vol = mesh.interior_nodes, mesh.cell_volume
+        xe, de = mesh.exterior_nodes[:half], op.row_sums[ni:ni + half]
         m = _pair_weights(xi, xi, op.s, vol)
-        if mirrored:
-            m *= 0.5
-        for k in range(0, stop, 256):
-            b = _pair_weights(xi, xe[k:min(k + 256, stop)], op.s, vol)
-            b /= np.sqrt(op.row_sums[ni + k:ni + min(k + 256, stop)])
+        m *= 0.5
+        for k in range(0, half, 256):
+            b = _pair_weights(xi, xe[k:k + 256], op.s, vol)
+            b /= np.sqrt(de[k:k + 256])
             m += b @ b.T
-        if mirrored:
-            m += m[::-1, ::-1]
+        m += m[::-1, ::-1]
         d = m @ np.ones(ni)
         m.flags.writeable = d.flags.writeable = False
         op.reduced.extend([m, d])

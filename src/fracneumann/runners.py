@@ -235,7 +235,7 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     header, _, u = read_solution(solution_path, mesh)
     if header.get("s", cfg.s) != cfg.s:
         raise ValueError(f"solution computed at s={header['s']!r}, config s={cfg.s!r}")
-    eps = header.get("eps", cfg.first_eps())
+    eps = header["eps"] if "eps" in header else cfg.first_eps()
     op = assemble(mesh, cfg.s, eps)
     spec = ProblemSpec(mesh, op, cfg.nonlinearity())
 

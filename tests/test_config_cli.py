@@ -109,6 +109,13 @@ class TestConfigParsing:
         cfg = parse_config("# a comment\n\ns = 0.3  # trailing\n")
         assert cfg.s == 0.3
 
+    @pytest.mark.parametrize("values, clash", [("0.3, 0.3", "0.3, 0.3"),
+                                               ("0.1 0.2 0.1000001", "0.1, 0.1000001")])
+    def test_eps_values_sharing_an_output_name(self, values, clash):
+        # each eps names its sweep outputs by its {eps:g} form
+        with pytest.raises(ConfigError, match=f"eps_list values {clash} would write"):
+            parse_config(f"eps_list = {values}\n")
+
 
 BOX_IDENTITIES = """
 domain.kind = box
@@ -575,6 +582,27 @@ class TestCli:
         assert main(["moser", "--config", str(quick_cfg_file),
                      "--solution", str(out / "solution_eps_0.15.txt"),
                      "--out", str(tmp_path / "moser")]) == 0
+
+    def test_moser_takes_eps_from_the_snapshot(self, quick_cfg_file, tmp_path):
+        # a config that sets no eps checks the snapshot at its recorded eps
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(quick_cfg_file),
+                     "--out", str(out)]) == 0
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(QUICK_SWEEP.replace("eps = 0.2\n", "")
+                        .replace("eps_list = 0.3, 0.15\n", ""))
+        assert load_config(bare).eps is None and not load_config(bare).eps_list
+        summaries = []
+        for cfg_file in (quick_cfg_file, bare):
+            moser_out = tmp_path / cfg_file.stem
+            assert main(["moser", "--config", str(cfg_file), "--solution",
+                         str(out / "solution_eps_0.15.txt"),
+                         "--out", str(moser_out)]) == 0
+            summaries.append(json.loads((moser_out / "moser_summary.json").read_text()))
+        full, bare_summary = summaries
+        assert full["eps"] == 0.15 and full["all_ok"] is True
+        for key in ("K", "sup_estimate", "eps", "all_ok"):
+            assert bare_summary[key] == full[key]
 
     def test_runtime_imports_numpy_only(self):
         # a fresh interpreter: this test process has scipy loaded already

@@ -17,9 +17,9 @@ import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
 from fracneumann.mountain_pass import _newton_polish
-from fracneumann.operators import (_centered, _convolution_apply,
-                                   _graph_laplacian_apply, _identity_terms,
-                                   _pair_weights, _reduced_matrix)
+from fracneumann.operators import (_centered, _graph_laplacian_apply,
+                                   _identity_terms, _pair_sums, _pair_weights,
+                                   _reduced_matrix)
 
 from conftest import dense_weights, small_operators
 
@@ -69,8 +69,8 @@ def lattice_twin(op):
 
 def full_collar_sum(op):
     """``W_ii + sum_e w_e w_e^T / d_e`` over every collar node, 256 collar
-    columns at a time in collar order: the collar-eliminated matrix of a
-    mesh that no reflection maps onto itself."""
+    columns at a time in collar order: the oracle for the collar-eliminated
+    matrix, which sums mirror pairs of collar nodes instead."""
     mesh, ni = op.mesh, op.n_interior
     xi, xe, vol = mesh.interior_nodes, mesh.exterior_nodes, mesh.cell_volume
     m = _pair_weights(xi, xi, op.s, vol)
@@ -87,9 +87,9 @@ def grid_functions(rng, n_rows, n):
 
 
 def convolutions():
-    """A spy on the convolution calls that the apply makes."""
-    return mock.patch.object(operators, "_convolution_apply",
-                             wraps=_convolution_apply)
+    """A spy on the stencil's pair sums, which the apply takes on a stencil
+    operator only."""
+    return mock.patch.object(operators, "_pair_sums", wraps=_pair_sums)
 
 
 class TestConvolutionOracle:
@@ -100,7 +100,10 @@ class TestConvolutionOracle:
     def test_matches_the_dense_blocks(self, op, seed, n_rows, amplitude, offset):
         rng = np.random.default_rng(seed)
         u = amplitude * (offset + grid_functions(rng, n_rows, op.n_total))
-        got = _convolution_apply(lattice_twin(op), u)
+        lat = lattice_twin(op)
+        with convolutions() as spy:
+            got = _graph_laplacian_apply(lat, u)
+        assert spy.call_count == 1
         rows = np.atleast_2d(u)
         diff = rows[:, :, None] - rows[:, None, :]
         w = dense_weights(op)
@@ -117,8 +120,10 @@ class TestConvolutionOracle:
     def test_constant_rows_give_exact_zero(self, op, values):
         lat = lattice_twin(op)
         rows = np.repeat(np.array(values)[:, None], op.n_total, axis=1)
-        assert np.all(_convolution_apply(lat, rows) == 0.0)
-        assert np.all(_convolution_apply(lat, rows[0]) == 0.0)
+        with convolutions() as spy:
+            assert np.all(_graph_laplacian_apply(lat, rows) == 0.0)
+            assert np.all(_graph_laplacian_apply(lat, rows[0]) == 0.0)
+        assert spy.call_count == 2
 
     @settings(max_examples=60, deadline=None)
     @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
@@ -126,14 +131,18 @@ class TestConvolutionOracle:
     def test_gauss_residual_at_roundoff(self, op, seed, n_rows):
         lat = lattice_twin(op)
         u = grid_functions(np.random.default_rng(seed), n_rows, op.n_total)
-        resid, scale = _identity_terms(lat, _convolution_apply(lat, u))[0]
+        with convolutions() as spy:
+            resid, scale = _identity_terms(lat, _graph_laplacian_apply(lat, u))[0]
+        assert spy.call_count == 1
         assert np.all(resid <= 1e-12 * scale)
 
     def test_reference_mesh(self, op_ref):
         # the reference operator stores no blocks: the oracle builds them
         oracle = dense_twin(op_ref)
         u = grid_functions(np.random.default_rng(5), 3, op_ref.n_total)
-        got = _convolution_apply(op_ref, u)
+        with convolutions() as spy:
+            got = _graph_laplacian_apply(op_ref, u)
+        assert spy.call_count == 1
         resid, scale = _identity_terms(op_ref, got)[0]
         assert np.all(resid <= 1e-12 * scale)
         want = dense_apply(oracle, u)
@@ -153,7 +162,6 @@ class TestRule:
             for n_rows in (0, 1, 4, 8, 9, 20):
                 u = grid_functions(rng, n_rows, op_ref.n_total)
                 got = _graph_laplacian_apply(op_ref, u)
-                assert np.array_equal(got, _convolution_apply(op_ref, u))
                 want = dense_apply(oracle, u)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert spy.call_count == 6
@@ -276,34 +284,3 @@ class TestMemory:
             op = fn.assemble(mesh, cfg_ref.s, cfg_ref.first_eps())
         assert op.n_interior * op.n_total > operators.DENSE_ENTRY_BUDGET
         assert op.lattice is not None and op.w_ii is None
-
-
-class TestOffLattice:
-    @pytest.fixture
-    def jittered(self, op_ref):
-        """The reference operator with its first interior node moved off the
-        lattice by a thousandth of a cell, weights reassembled."""
-        mesh = op_ref.mesh
-        nodes = mesh.interior_nodes.copy()
-        nodes[0, 0] += 1e-3 * mesh.h
-        return fn.assemble(dataclasses.replace(mesh, interior_nodes=nodes),
-                           op_ref.s, op_ref.eps)
-
-    def test_direct_call_raises(self, jittered):
-        with pytest.raises(ValueError, match="lattice"):
-            _convolution_apply(jittered, np.ones(jittered.n_total))
-
-    def test_rule_stays_dense(self, jittered):
-        assert jittered.lattice is None and jittered.w_ii is not None
-        u = np.random.default_rng(2).standard_normal(jittered.n_total)
-        with convolutions() as spy:
-            assert np.array_equal(_graph_laplacian_apply(jittered, u),
-                                  dense_apply(jittered, u))
-        assert spy.call_count == 0
-
-    def test_reduced_matrix_is_the_full_sum(self, jittered):
-        # no reflection maps the jittered mesh onto itself: M is the full
-        # collar sum, bit for bit
-        m = _reduced_matrix(jittered)[0]
-        assert np.array_equal(m, full_collar_sum(jittered))
-        assert not np.array_equal(m, m[::-1, ::-1])

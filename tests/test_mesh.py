@@ -163,3 +163,23 @@ def test_reversing_a_node_list_reflects_it(mesh):
         assert np.all(np.abs(nodes + nodes[::-1] - mesh.lo - mesh.hi)
                       <= 1e-9 * mesh.h)
     assert mesh.n_exterior % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=small_meshes())
+def test_cells_give_the_lattice_layout(mesh):
+    # each node is the centre of its recorded cell, the cell the coordinates
+    # round to; reversing a node list maps every cell k to n - 1 - k, its
+    # mirror across the box, on each axis of n interior cells
+    assert mesh.cells.shape == (mesh.n_total, mesh.dim)
+    assert mesh.cells.dtype.kind == "i"
+    centres = mesh.lo + (mesh.cells + 0.5) * mesh.h
+    assert np.all(np.abs(centres - mesh.nodes) <= 1e-9 * mesh.h)
+    rounded = np.round((mesh.nodes - mesh.lo) / mesh.h - 0.5)
+    assert np.array_equal(mesh.cells, rounded)
+    n = np.round((mesh.hi - mesh.lo) / mesh.h).astype(int)
+    interior, collar = mesh.cells[:mesh.n_interior], mesh.cells[mesh.n_interior:]
+    assert np.all((interior >= 0) & (interior < n))
+    for cells in (interior, collar):
+        assert np.array_equal(cells + cells[::-1], np.broadcast_to(n - 1, cells.shape))
+    assert mesh.n_exterior % 2 == 0
