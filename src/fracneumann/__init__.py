@@ -41,7 +41,6 @@ from .mountain_pass import (
     nonnegativity_certificate,
 )
 from .moser import (
-    CaccioppoliChainError,
     MoserLadder,
     G_trunc,
     check_G_inequality,

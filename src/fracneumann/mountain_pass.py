@@ -311,20 +311,23 @@ def _one_blas_thread():
         set_(prev)
 
 
-def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
-                   max_iter: int) -> tuple[np.ndarray, int]:
+def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
+                   grad_tol: float) -> tuple[np.ndarray, int]:
     """Drive the crest point to a critical point with damped Newton steps.
 
     The Jacobian of the gradient is ``eps^(2s)/vol * L + diag(1 - f'(u))``
     (reaction terms on interior nodes only).  Its collar block is diagonal,
     so the collar step is eliminated exactly: the interior step solves the
     system on :func:`_reduced_matrix`, formed once per call with only its
-    diagonal rewritten per step.  Steps are accepted on sup-norm residual
-    decrease, with plain gradient steps as fallback.  Stopping above
-    ``grad_tol``, at ``max_iter`` or when both line searches fail, warns
-    with a ``RuntimeWarning``.  The dense solve runs on one BLAS thread: at
-    ``n_i = 400`` that is as fast as two, leaves no helper thread spinning,
-    and makes the step's bits independent of the caller's thread count.
+    diagonal rewritten per step.  One line search, 40 halvings from a full
+    step, tries two directions in turn: the Newton step, accepted on a
+    sufficient decrease of the sup-norm residual, then the gradient step
+    ``-g`` as a safeguard, accepted on any decrease.  Stopping above
+    ``grad_tol``, after ``NEWTON_MAX_STEPS`` steps or when neither direction
+    decreases the residual, warns with a ``RuntimeWarning``.  The dense
+    solve runs on one BLAS thread: at ``n_i = 400`` that is as fast as two,
+    leaves no helper thread spinning, and makes the step's bits independent
+    of the caller's thread count.
     """
     op = spec.op
     ni = spec.mesh.n_interior
@@ -340,7 +343,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
     g = energy_gradient(spec, u)
     res = float(np.max(np.abs(g)))
     used = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_STEPS):
         if res <= grad_tol:
             break
         used += 1
@@ -356,33 +359,24 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray, grad_tol: float,
         except np.linalg.LinAlgError:
             dx = -g
         accepted = False
-        tau = 1.0
-        for _ in range(40):
-            cand = u + tau * dx
-            g_cand = energy_gradient(spec, cand)
-            res_cand = float(np.max(np.abs(g_cand)))
-            if res_cand < res * (1.0 - 1e-4 * tau):
-                u, g, res = cand, g_cand, res_cand
-                accepted = True
-                break
-            tau *= 0.5
-        if not accepted:
-            # steepest descent on |grad|^2 as a safeguard
+        for direction, factor in ((dx, 1e-4), (-g, 0.0)):
             tau = 1.0
             for _ in range(40):
-                cand = u - tau * g
+                cand = u + tau * direction
                 g_cand = energy_gradient(spec, cand)
                 res_cand = float(np.max(np.abs(g_cand)))
-                if res_cand < res:
+                if res_cand < res * (1.0 - factor * tau):
                     u, g, res = cand, g_cand, res_cand
                     accepted = True
                     break
                 tau *= 0.5
+            if accepted:
+                break
         if not accepted:
             break
     if res > grad_tol:
-        warnings.warn(f"Newton endgame ended after {used} of {max_iter} steps "
-                      f"at residual {res:.3g} above grad_tol {grad_tol:.3g}",
+        warnings.warn(f"Newton endgame ended after {used} of {NEWTON_MAX_STEPS} "
+                      f"steps at residual {res:.3g} above grad_tol {grad_tol:.3g}",
                       RuntimeWarning, stacklevel=3)
     return u, used
 
@@ -455,7 +449,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
                       f"{incumbent:.6g} below the sphere bound delta "
                       f"{delta:.6g}", RuntimeWarning, stacklevel=2)
 
-    u, newton_steps = _newton_polish(spec, crest_pt, grad_tol, NEWTON_MAX_STEPS)
+    u, newton_steps = _newton_polish(spec, crest_pt, grad_tol)
 
     level, norm_sq, grad = _point_terms(spec, u)
     res = float(np.max(np.abs(grad)))

@@ -209,14 +209,6 @@ def _centered(u: np.ndarray) -> np.ndarray:
     return uc
 
 
-def _laplacian(weights: np.ndarray, row_sums: np.ndarray,
-               u: np.ndarray) -> np.ndarray:
-    """(L u)_i = sum_j w_ij (u_i - u_j) for one grid function, on centered
-    values."""
-    uc = _centered(u)
-    return row_sums * uc - weights @ uc
-
-
 def _graph_laplacian_apply(op: FormOperator, u: np.ndarray) -> np.ndarray:
     """Full-mesh kernel application, the one shared by every operator:
     ``row_sums u - [W_ii u_i + W_ie u_e, W_ie^T u_i]`` on centered values,
@@ -436,9 +428,19 @@ def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
     return tuple(op.reduced)
 
 
-def _regional_seminorm(w: np.ndarray, d: np.ndarray, u: np.ndarray) -> float:
-    """``(1/2) sum_ij w_ij (u_i - u_j)^2`` for weights ``w``, row sums ``d``."""
-    return float(_centered(u) @ _laplacian(w, d, u))
+def _regional(mesh: DomainMesh, s: float):
+    """The regional Laplacian of order ``s``: ``v -> sum_j w_ij (v_i - v_j)``
+    on interior values, over the interior-interior weights alone, on
+    centered values.  ``v . L v`` is the regional seminorm
+    ``(1/2) sum_ij w_ij (v_i - v_j)^2``."""
+    w = _pair_weights(mesh.interior_nodes, mesh.interior_nodes, s,
+                      mesh.cell_volume)
+    d = w @ np.ones(mesh.n_interior)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        vc = _centered(v)
+        return d * vc - w @ vc
+    return apply
 
 
 def _lq_norm(values: np.ndarray, vol: float, q: float) -> float:
@@ -514,11 +516,8 @@ def estimate_sobolev_constant(op: FormOperator) -> float:
     Reaching ``SOBOLEV_MAX_ITER`` warns rather than raises; the last
     iterate's quotient is returned.
     """
-    xi = op.mesh.interior_nodes
-    w = _pair_weights(xi, xi, op.s, op.mesh.cell_volume)
-    d = w @ np.ones(op.n_interior)
     # deterministic low-frequency start: the first coordinate, centered
-    val, _ = _ascend(lambda v: _laplacian(w, d, v), lambda v: v - v.mean(),
+    val, _ = _ascend(_regional(op.mesh, op.s), lambda v: v - v.mean(),
                      critical_exponent(op.mesh.dim, op.s), op.mesh.cell_volume,
                      op.mesh.interior_nodes[:, 0], SOBOLEV_MAX_ITER,
                      SOBOLEV_RTOL, "Sobolev quotient minimization")
@@ -570,15 +569,11 @@ def verify_scaling_identity(mesh: DomainMesh, mesh_scaled: DomainMesh,
     quadrature.  ``u`` is a callable of the node coordinates.  Only the
     interior weights of each mesh are built.
     """
-    def regional(m: DomainMesh) -> tuple[np.ndarray, np.ndarray]:
-        w = _pair_weights(m.interior_nodes, m.interior_nodes, s, m.cell_volume)
-        return w, w @ np.ones(m.n_interior)
-
     u1 = np.asarray(u(mesh.interior_nodes), dtype=float)
     v2 = np.asarray(u(eps * mesh_scaled.interior_nodes), dtype=float)
 
-    semi1 = _regional_seminorm(*regional(mesh), u1)
-    semi2 = _regional_seminorm(*regional(mesh_scaled), v2)
+    semi1 = float(_centered(u1) @ _regional(mesh, s)(u1))
+    semi2 = float(_centered(v2) @ _regional(mesh_scaled, s)(v2))
     lhs = eps ** (2.0 * s) * semi1 + mesh.cell_volume * float(u1 @ u1)
     rhs = eps**mesh.dim * (semi2 + mesh_scaled.cell_volume * float(v2 @ v2))
     scale = max(abs(lhs), abs(rhs), 1e-300)

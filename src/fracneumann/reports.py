@@ -103,16 +103,21 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
             (comments if ln.lstrip().startswith("#") else raw).append((k, ln))
     if not raw:
         raise ValueError(f"solution file {path} is empty")
-    head = raw[0][1].split()
-    if len(head) != 3:
-        raise ValueError(
-            f"solution file {path}: header must be 'dim h node_count', got '{raw[0][1]}'"
-        )
-    header = {"dim": int(head[0]), "h": float(head[1]), "n_total": int(head[2])}
-    for _, ln in comments:
+    k, ln = raw[0]
+    try:
+        dim, h, n_total = ln.split()
+        header = {"dim": int(dim), "h": float(h), "n_total": int(n_total)}
+    except ValueError:
+        raise ValueError(f"solution file {path}, line {k}: header must be "
+                         f"'dim h node_count', got '{ln}'") from None
+    for k, ln in comments:
         key, sep, value = ln.lstrip("# ").strip().partition("=")
         if sep and key in SOLUTION_KEYS:
-            header[key] = float(value)
+            try:
+                header[key] = float(value)
+            except ValueError:
+                raise ValueError(f"solution file {path}, line {k}: {key} must be "
+                                 f"a number, got '{value}'") from None
     if not 0 < header["n_total"] == len(raw) - 1:
         raise ValueError(
             f"solution file {path}: header says {header['n_total']} nodes, "

@@ -567,6 +567,19 @@ class TestSolutionFiles:
                                              r"line 6: expected 1 coordinates"):
             read_solution(path, mesh)
 
+    @pytest.mark.parametrize("header", ["1 abc 21", "1 0.1 21.0", "1 0.1"],
+                             ids=["bad-h", "bad-count", "missing-token"])
+    def test_bad_header_is_named(self, tmp_path, header):
+        mesh = fn.build_interval_mesh(-1.0, 1.0, 0.1, 2.0)
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.zeros(mesh.n_total), "x", eps=0.2)
+        text = path.read_text().splitlines()
+        text[2] = header  # after manifest and eps
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=rf"solution file {re.escape(str(path))}, "
+                                             r"line 3: header must be 'dim h node_count'"):
+            read_solution(path, mesh)
+
 
 class TestCli:
     def test_identities_exit_zero(self, quick_cfg_file, tmp_path, capsys):
@@ -668,6 +681,43 @@ class TestCli:
                    str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "s=0.3" in capsys.readouterr().err
+
+    def test_bad_snapshot_number_exit_two(self, quick_cfg_file, tmp_path, capsys):
+        cfg = load_config(quick_cfg_file)
+        mesh = cfg.build_mesh()
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=0.2)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# eps=0.2"
+        lines[1] = "# eps=abc"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["moser", "--config", str(quick_cfg_file), "--solution",
+                   str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"solution file {path}, line 2: eps must be a number, got 'abc'"
+                in capsys.readouterr().err)
+
+    def test_failed_chain_exit_one(self, quick_cfg_file, tmp_path, monkeypatch):
+        # an absurdly small embedding constant fails every chain check; the
+        # summary keeps each residual and both sides of each chain
+        cfg = load_config(quick_cfg_file)
+        mesh = cfg.build_mesh()
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=0.2)
+        monkeypatch.setattr(runners, "estimate_embedding_constant", lambda op: 1e-6)
+        rc = main(["moser", "--config", str(quick_cfg_file), "--solution",
+                   str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "moser_summary.json").read_text())
+        assert summary["all_ok"] is False and summary["sup_bound_ok"] is True
+        entries = summary["caccioppoli"]
+        assert len(entries) == 6
+        for entry in entries:
+            assert entry["chain_ok"] is False and entry["residual_ok"] is True
+            assert entry["residual"] == 0.0
+            assert entry["chain_lhs"] > entry["chain_rhs"]
 
     def test_missing_config_exit_two(self, tmp_path, capsys):
         rc = main(["sweep", "--config", str(tmp_path / "nope.cfg"),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracneumann as fn
-from fracneumann import operators
+from fracneumann import mountain_pass, operators
 from fracneumann.config import load_config
 from fracneumann.mountain_pass import _newton_polish
 from fracneumann.operators import (_centered, _graph_laplacian_apply,
@@ -227,9 +227,10 @@ class TestLatticeForm:
         steps = []
         for form in (lat, op):
             spec = fn.ProblemSpec(op.mesh, form, f)
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
                 warnings.simplefilter("ignore", RuntimeWarning)
-                steps.append(_newton_polish(spec, u0, 1e-300, 1))
+                mp.setattr(mountain_pass, "NEWTON_MAX_STEPS", 1)
+                steps.append(_newton_polish(spec, u0, 1e-300))
         (u_lat, used_lat), (u_dense, used) = steps
         assert used_lat == used == 1
         # relative to the step, which lands near the critical point 0

@@ -445,7 +445,7 @@ class TestNewtonEndgame:
             spec, rep = solved
         rng = np.random.default_rng(7)
         u0 = rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
-        got, steps = _newton_polish(spec, u0, rep.grad_tol, NEWTON_MAX_STEPS)
+        got, steps = _newton_polish(spec, u0, rep.grad_tol)
         want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol,
                                                 NEWTON_MAX_STEPS)
         assert steps == want_steps > 1
@@ -458,24 +458,47 @@ class TestNewtonEndgame:
     def test_one_step_matches_full_hessian_newton(self, spec, seed):
         u0 = np.random.default_rng(seed).standard_normal(spec.mesh.n_total)
         tol = 1e-12 * float(np.max(np.abs(fn.energy_gradient(spec, u0))))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("ignore", RuntimeWarning)
-            got, steps = _newton_polish(spec, u0, tol, 1)
+            mp.setattr(mountain_pass, "NEWTON_MAX_STEPS", 1)
+            got, steps = _newton_polish(spec, u0, tol)
         want, want_steps = _full_hessian_newton(spec, u0, tol, 1)
         assert steps == want_steps == 1
         # a step can land on the zero solution: measure against the start too
         scale = max(np.max(np.abs(want)), np.max(np.abs(u0)))
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
-    def test_warns_when_it_stops_above_tolerance(self, solved_problem):
-        spec, rep = solved_problem["spec"], solved_problem["report"]
-        rng = np.random.default_rng(7)
-        u0 = rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
+    def test_warns_when_it_stops_above_tolerance(self, solved_problem,
+                                                 monkeypatch):
+        spec, rep, u0 = _perturbed_solution(solved_problem)
+        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", 1)
         with pytest.warns(RuntimeWarning,
                           match="Newton endgame ended after 1 of 1 steps"):
-            u, steps = _newton_polish(spec, u0, rep.grad_tol, 1)
+            u, steps = _newton_polish(spec, u0, rep.grad_tol)
         assert steps == 1
         assert fn.weak_residual(spec, u) > rep.grad_tol
+
+    def test_gradient_safeguard_when_the_newton_step_fails(self, solved_problem,
+                                                          monkeypatch):
+        # a solve that returns the negated Newton step raises the residual at
+        # every one of its 40 halvings, so the step falls back on -g, as the
+        # oracle's does; near zero the energy is nearly quadratic and -g
+        # lowers the residual
+        spec, rep, u0 = _perturbed_solution(solved_problem)
+        u0 = 0.1 * u0
+        solve = np.linalg.solve
+        monkeypatch.setattr(mountain_pass.np.linalg, "solve",
+                            lambda a, b: -solve(a, b))
+        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, steps = _newton_polish(spec, u0, rep.grad_tol)
+        want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol, 1)
+        assert steps == want_steps == 1
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        g0 = fn.energy_gradient(spec, u0)
+        assert any(np.array_equal(got, u0 - 0.5**k * g0) for k in range(40))
+        assert fn.weak_residual(spec, got) < fn.weak_residual(spec, u0)
 
 
 def _perturbed_solution(solved_problem):
@@ -518,9 +541,10 @@ class TestNewtonSolveThreads:
             return solve(a, b)
 
         monkeypatch.setattr(mountain_pass.np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got, steps = _newton_polish(spec, u0, rep.grad_tol, 3)
+            got, steps = _newton_polish(spec, u0, rep.grad_tol)
         assert get() == caller
         assert seen == [1] * steps and steps >= 1
         # the oracle's solve raises too: both take the steepest-descent step
@@ -538,7 +562,7 @@ class TestNewtonSolveThreads:
                             functools.cache(mountain_pass._blas_threads.__wrapped__))
         assert mountain_pass._blas_threads() is None
         spec, rep, u0 = _perturbed_solution(solved_problem)
-        got, steps = _newton_polish(spec, u0, rep.grad_tol, NEWTON_MAX_STEPS)
+        got, steps = _newton_polish(spec, u0, rep.grad_tol)
         want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol,
                                                 NEWTON_MAX_STEPS)
         assert steps == want_steps > 1
@@ -567,11 +591,12 @@ class TestTwoDimensional:
         ladder = fn.norm_ladder(spec, rep.u)
         assert ladder.sup_estimate >= ladder.actual_max
         embedding = fn.estimate_embedding_constant(op)
-        resid = fn.verify_caccioppoli_step(spec, rep.u, 3.0,
+        entry = fn.verify_caccioppoli_step(spec, rep.u, 3.0,
                                            10.0 * float(np.max(rep.u)),
                                            grad_tol=rep.grad_tol,
                                            sobolev_constant=embedding)
-        assert resid <= 1e-9
+        assert entry["residual"] <= 1e-9
+        assert entry["residual_ok"] and entry["chain_ok"]
 
 
 class TestNonnegativityCertificate:

@@ -13,8 +13,7 @@ import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
 from fracneumann.operators import (_centered, _flux, _graph_laplacian_apply,
-                                   _identity_terms, _reduced_matrix,
-                                   _regional_seminorm)
+                                   _identity_terms, _reduced_matrix, _regional)
 
 from conftest import dense_weights, random_grid_function, small_operators
 
@@ -37,6 +36,13 @@ def concatenating_apply(op, u):
     ui, ue = uc[..., :ni], uc[..., ni:]
     wu = np.concatenate([ui @ op.w_ii + ue @ op.w_ie.T, ui @ op.w_ie], axis=-1)
     return op.row_sums * uc - wu
+
+
+def graph_laplacian(w, d, v):
+    """``sum_j w_ij (v_i - v_j)`` for symmetric weights ``w`` with row sums
+    ``d``, on centered values."""
+    vc = _centered(v)
+    return d * vc - w @ vc
 
 
 def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
@@ -107,7 +113,7 @@ def per_trial_embedding_constant(op, max_iter=2000, rtol=1e-10):
         return operators._lq_norm(v, vol, q)
 
     def quotient(v):
-        lv = operators._laplacian(m, d, v)
+        lv = graph_laplacian(m, d, v)
         num = e2s * norm(v) ** 2
         den = e2s * float(_centered(v) @ lv) + vol * float(v @ v)
         return num / den, (num, den, lv)
@@ -131,7 +137,7 @@ def per_trial_sobolev_constant(op, max_iter=4000, rtol=1e-11):
     """Oracle: the Sobolev estimator descending ``seminorm / |u|_q^2`` with
     every trial step evaluated in full."""
     q = operators.critical_exponent(op.mesh.dim, op.s)
-    w, d = op.w_ii, op.w_ii @ np.ones(op.n_interior)
+    lap = _regional(op.mesh, op.s)
     vol = op.mesh.cell_volume
 
     def norm(v):
@@ -139,13 +145,13 @@ def per_trial_sobolev_constant(op, max_iter=4000, rtol=1e-11):
         return operators._lq_norm(v, vol, q)
 
     def neg_rayleigh(v):
-        num = _regional_seminorm(w, d, v)
+        num = float(_centered(v) @ lap(v))
         den = operators._lq_norm(v, vol, q) ** 2
         return -num / den, (num, den)
 
     def ascent(v, aux):
         num, den = aux
-        grad_num = 2.0 * operators._laplacian(w, d, v)
+        grad_num = 2.0 * lap(v)
         grad_den = 2.0 * (den**0.5) ** (2.0 - q) * vol * np.abs(v) ** (q - 2.0) * v
         grad = (grad_num * den - num * grad_den) / den**2
         return -(grad - grad.mean())
@@ -586,7 +592,7 @@ class TestReducedMatrix:
 
         rng = np.random.default_rng(seed)
         lift = fn.exterior_extension(op, rng.standard_normal(ni))
-        reduced = _regional_seminorm(m, d, lift[:ni])
+        reduced = float(_centered(lift[:ni]) @ graph_laplacian(m, d, lift[:ni]))
         form = fn.seminorm_form(op, lift, lift)
         assert abs(reduced - form) <= 1e-12 * form
         # the zero-flux collar values minimize the form
