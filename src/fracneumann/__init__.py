@@ -7,8 +7,7 @@ from .operators import (
     FormOperator,
     assemble,
     bilinear_form,
-    check_divergence,
-    check_integration_by_parts,
+    check_identities,
     estimate_embedding_constant,
     estimate_sobolev_constant,
     exterior_extension,

@@ -83,9 +83,12 @@ class RunConfig:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}': expected a number, got '{raw}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got '{raw}'")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:

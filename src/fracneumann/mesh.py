@@ -98,7 +98,7 @@ def check_box(bounds, h: float, r_ext: float) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(cells - np.round(cells)) > 1e-9 * cells):
         raise ValueError(f"spacing h={h} does not divide every side of the box {bounds}")
     diam = float(np.hypot.reduce(hi - lo))
-    if r_ext < diam:
+    if not r_ext >= diam:
         raise ValueError(
             f"collar too thin: r_ext={r_ext} is thinner than the domain diameter "
             f"{diam:.6g}; the truncated kernel tail would dominate the collar coupling"

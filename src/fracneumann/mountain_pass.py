@@ -17,7 +17,9 @@ Certificates attached to a solve:
     ``A = S^2 eps^(-2s)``, where ``S`` is the constant of the scaled embedding
     ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``, which the caller passes (the
     runners pass :func:`~fracneumann.operators.estimate_embedding_constant`);
-  * nonnegativity via the energy of the negative part;
+  * nonnegativity: the sweep reports ``min u >= -1e-8 max |u|`` over the
+    domain nodes (:func:`nonnegativity_certificate` returns that minimum and
+    the energy of the negative part, which no runner reads);
   * non-constancy via the ratio of the level to the energy
     ``(1/2 - 1/p) |domain|`` of the constant solution 1, the only positive
     fixed point of f.
@@ -77,7 +79,7 @@ class MPAConfig:
     grad_tol: float | None = None
 
     def __post_init__(self):
-        if self.grad_tol is not None and self.grad_tol <= 0.0:
+        if self.grad_tol is not None and not self.grad_tol > 0.0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 

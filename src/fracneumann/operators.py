@@ -48,8 +48,7 @@ __all__ = [
     "exterior_extension",
     "bilinear_form",
     "seminorm_form",
-    "check_integration_by_parts",
-    "check_divergence",
+    "check_identities",
     "estimate_sobolev_constant",
     "estimate_embedding_constant",
     "verify_scaling_identity",
@@ -112,7 +111,7 @@ class FormOperator:
 
     def with_eps(self, eps: float) -> "FormOperator":
         """Same weights, different energy scale (weights are eps-independent)."""
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
         other = replace(self, eps=float(eps))
         object.__setattr__(other, "reduced", self.reduced)
@@ -133,7 +132,7 @@ def assemble(mesh: DomainMesh, s: float, eps: float) -> FormOperator:
         raise ValueError(
             f"need dim > 2 s for a finite critical exponent; got dim={mesh.dim}, s={s}"
         )
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     c_ns = normalization_constant(mesh.dim, s)
     if (lattice := _lattice(mesh, s)) is not None:
@@ -185,18 +184,6 @@ def _check_size(op: FormOperator, u: np.ndarray, name: str = "u",
             f"mesh has {op.n_total} nodes"
         )
     return u
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """``a . b`` over the last axis: BLAS for one pair, the pairwise-summed
-    ``(a * b).sum(-1)`` for stacks (an einsum row dot is several times less
-    accurate on the identity residuals)."""
-    return a @ b if a.ndim == b.ndim == 1 else (a * b).sum(-1)
-
-
-def _scalar(x):
-    """A float for one grid function's result, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _centered(u: np.ndarray) -> np.ndarray:
@@ -322,16 +309,14 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
     return np.concatenate([u_int, u_ext], axis=-1)
 
 
-def seminorm_form(op: FormOperator, u: np.ndarray,
-                  v: np.ndarray) -> float | np.ndarray:
+def seminorm_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
     """Kernel part of the form, without the eps factor:
 
-    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``, row by
-    row for stacks.
+    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``.
     """
-    u = _check_size(op, u, stack=True)
-    v = _check_size(op, v, "v", stack=True)
-    return _scalar(_dot(_centered(u), _graph_laplacian_apply(op, v)))
+    u = _check_size(op, u)
+    v = _check_size(op, v, "v")
+    return float(_centered(u) @ _graph_laplacian_apply(op, v))
 
 
 def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
@@ -344,61 +329,38 @@ def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
     return op.eps ** (2.0 * op.s) * seminorm_form(op, u, v) + l2
 
 
-def _pairing(op: FormOperator, v: np.ndarray, f: np.ndarray):
-    """``vol v . f`` over the domain plus the same over the collar, row by
-    row for stacks: a grid function tested against a flux."""
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-    return (vol * _dot(v[..., :ni], f[..., :ni])
-            + vol * _dot(v[..., ni:], f[..., ni:]))
+def check_identities(op: FormOperator, uv: np.ndarray) -> tuple:
+    """Residuals and magnitude scales of the discrete Gauss and Green
+    identities, ``((gauss_residual, gauss_scale), (green_residual,
+    green_scale))``, for one pair ``(u, v)`` of grid functions, shape ``(2,
+    n)``, or each pair of a ``(k, 2, n)`` stack.
 
+    Gauss, per function (shape ``(..., 2)``): the integral of the fractional
+    Laplacian over the domain plus that of the normal derivative over the
+    collar is zero; the scale is the same integral of ``|flux|``.  Green, per
+    pair: the seminorm form of ``(u, v)`` equals the flux of ``u`` tested
+    against ``v`` on the domain and on the collar; the scale pairs ``|v|``
+    with ``|flux u|``.  One kernel apply to the rows ``u0, v0, u1, v1, ...``
+    gives every term; sharing one weight set makes each residual roundoff.
+    Row dots are the pairwise-summed ``(a * b).sum(-1)``: an einsum row dot
+    is several times less accurate on these residuals.
+    """
+    uv = np.asarray(uv, dtype=float)
+    n, ni, vol = op.n_total, op.n_interior, op.mesh.cell_volume
+    if uv.ndim not in (2, 3) or uv.shape[-2:] != (2, n):
+        raise ValueError(f"size mismatch: uv has shape {uv.shape}, expected "
+                         f"(2, {n}) or (k, 2, {n}) for a mesh of {n} nodes")
+    lap = _graph_laplacian_apply(op, uv.reshape(-1, n)).reshape(uv.shape)
 
-def _identity_terms(op: FormOperator, lap: np.ndarray, uv=None):
-    """(Gauss, Green) (residual, scale) terms from the kernel applies ``lap``
-    of grid functions: Gauss per function and, given them as a ``(..., 2,
-    n)`` stack ``uv`` of pairs ``(u, v)``, Green per pair (else None)."""
-    ni = op.n_interior
-    vol = op.mesh.cell_volume
-
-    def total(f: np.ndarray):
+    def total(f: np.ndarray):  # vol-weighted sum over domain and collar
         return vol * f[..., :ni].sum(-1) + vol * f[..., ni:].sum(-1)
 
     flux = lap / vol
-    gauss = abs(total(flux)), total(np.abs(flux))
-    if uv is None:
-        return gauss, None
-    u, v, fu = uv[..., 0, :], uv[..., 1, :], flux[..., 0, :]
-    return gauss, (abs(_dot(_centered(u), lap[..., 1, :]) - _pairing(op, v, fu)),
-                   _pairing(op, np.abs(v), np.abs(fu)))
-
-
-def check_integration_by_parts(op: FormOperator, u: np.ndarray,
-                               v: np.ndarray) -> tuple:
-    """Residual and magnitude scale of the discrete Green identity.
-
-    Both sides are evaluated from the module's own operators:
-    the seminorm form on one side, the fractional Laplacian tested against v
-    on the domain plus the normal derivative tested against v on the collar
-    on the other.  Sharing one weight set makes the residual pure roundoff;
-    the scale pairs ``|v|`` with ``|flux u|``.  Stacks give arrays, per row.
-    """
-    uv = np.stack([_check_size(op, u, stack=True),
-                   _check_size(op, v, "v", stack=True)], axis=-2)
-    lap = np.stack([_graph_laplacian_apply(op, w) for w in np.moveaxis(uv, -2, 0)], -2)
-    return tuple(map(_scalar, _identity_terms(op, lap, uv)[1]))
-
-
-def check_divergence(op: FormOperator, u: np.ndarray) -> tuple:
-    """Residual and magnitude scale of the discrete Gauss identity
-
-    ``integral over domain of the fractional Laplacian
-      + integral over collar of the normal derivative = 0``,
-
-    with the same integral of ``|flux u|`` as scale; arrays, per row, for
-    a stack.
-    """
-    lap = _graph_laplacian_apply(op, _check_size(op, u, stack=True))
-    return tuple(map(_scalar, _identity_terms(op, lap)[0]))
+    afl = np.abs(flux)
+    u, v = uv[..., 0, :], uv[..., 1, :]
+    return ((abs(total(flux)), total(afl)),
+            (abs((_centered(u) * lap[..., 1, :]).sum(-1) - total(v * flux[..., 0, :])),
+             total(np.abs(v) * afl[..., 0, :])))
 
 
 def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ class NonlinearitySpec:
 
 def power_nonlinearity(p: float) -> NonlinearitySpec:
     """Pure power ``f(t) = max(t,0)**(p-1)``, checked for ``p > 2``."""
-    if p <= 2.0:
+    if not p > 2.0:
         raise ValueError(f"power exponent must satisfy p > 2, got p={p}")
     return NonlinearitySpec(p=float(p))
 

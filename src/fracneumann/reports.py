@@ -8,6 +8,7 @@ and seed is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +82,13 @@ def write_solution(path: Path, mesh: DomainMesh, values: np.ndarray,
 
 
 def _rows(lines: list[str], width: int) -> np.ndarray | None:
-    """The ``width`` numbers of each of ``lines`` as one array, else None."""
+    """The ``width`` finite numbers of each of ``lines`` as one array, else
+    None."""
     try:
         data = np.loadtxt(lines, comments=None, ndmin=2)
     except ValueError:
         return None
-    return data if data.shape[1] == width else None
+    return data if data.shape[1] == width and np.isfinite(data).all() else None
 
 
 def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -107,6 +109,8 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
     try:
         dim, h, n_total = ln.split()
         header = {"dim": int(dim), "h": float(h), "n_total": int(n_total)}
+        if not math.isfinite(header["h"]):
+            raise ValueError
     except ValueError:
         raise ValueError(f"solution file {path}, line {k}: header must be "
                          f"'dim h node_count', got '{ln}'") from None
@@ -118,6 +122,10 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
             except ValueError:
                 raise ValueError(f"solution file {path}, line {k}: {key} must be "
                                  f"a number, got '{value}'") from None
+            positive = key in ("eps", "grad_tol")
+            if not math.isfinite(header[key]) or positive and not header[key] > 0.0:
+                raise ValueError(f"solution file {path}, line {k}: {key} must be a "
+                                 f"finite {'positive ' * positive}number, got '{value}'")
     if not 0 < header["n_total"] == len(raw) - 1:
         raise ValueError(
             f"solution file {path}: header says {header['n_total']} nodes, "
@@ -127,7 +135,7 @@ def read_solution(path: Path, mesh: DomainMesh | None = None) -> tuple[dict, np.
     if data is None:  # name the first line that fails on its own
         k, ln = next(p for p in raw[1:] if _rows([p[1]], header["dim"] + 1) is None)
         raise ValueError(f"solution file {path}, line {k}: expected {header['dim']} "
-                         f"coordinates + value per line, got '{ln}'")
+                         f"coordinates + value per line, all finite, got '{ln}'")
     coords, values = data[:, :-1], data[:, -1]
     if mesh is not None:
         if header["n_total"] != mesh.n_total or header["dim"] != mesh.dim:

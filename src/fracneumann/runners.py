@@ -23,8 +23,8 @@ from .moser import norm_ladder, verify_caccioppoli_step
 from .operators import (
     _centered,
     _graph_laplacian_apply,
-    _identity_terms,
     assemble,
+    check_identities,
     estimate_embedding_constant,
     exterior_extension,
     neumann_derivative,
@@ -75,8 +75,7 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path) -> bool:
     terms = []
     for _ in range(N_IDENTITY_FUNCTIONS // pairs):
         uv = rng.standard_normal((pairs, 2, n))
-        lap = _graph_laplacian_apply(op, uv.reshape(-1, n)).reshape(uv.shape)
-        terms.append(_identity_terms(op, lap, uv))
+        terms.append(check_identities(op, uv))
     for k, name in enumerate(("gauss_identity_relative", "green_identity_relative")):
         record(name, worst_relative(t[k] for t in terms), IDENTITY_TOL)
 
@@ -232,12 +231,12 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     equation matches the functional the solution solves, with the recorded
     ``grad_tol`` and ``s`` (an ``s`` not the config's raises ``ValueError``).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mesh = cfg.build_mesh()
     header, _, u = read_solution(solution_path, mesh)
     if header.get("s", cfg.s) != cfg.s:
         raise ValueError(f"solution computed at s={header['s']!r}, config s={cfg.s!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     eps = header["eps"] if "eps" in header else cfg.first_eps()
     op = assemble(mesh, cfg.s, eps)
     spec = ProblemSpec(mesh, op, cfg.nonlinearity())

@@ -48,7 +48,7 @@ def phi_eps(mesh: DomainMesh, eps: float) -> np.ndarray:
     Requires the ball of radius eps around the origin to fit inside the
     domain; the bump vanishes identically on the collar.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     origin = np.zeros((1, mesh.dim))
     if not bool(mesh.contains(origin)[0]):

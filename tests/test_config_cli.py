@@ -132,6 +132,23 @@ seed = 0
 """
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fn.assemble(fn.build_interval_mesh(-1.0, 1.0, 0.2, 2.0), 0.25, np.nan),
+     "eps must be positive"),
+    (lambda: fn.assemble(fn.build_interval_mesh(-1.0, 1.0, 0.2, 2.0), 0.25,
+                         0.3).with_eps(np.nan), "eps must be positive"),
+    (lambda: fn.phi_eps(fn.build_interval_mesh(-1.0, 1.0, 0.2, 2.0), np.nan),
+     "eps must be positive"),
+    (lambda: fn.power_nonlinearity(np.nan), "p > 2"),
+    (lambda: fn.MPAConfig(grad_tol=np.nan), "grad_tol must be positive"),
+    (lambda: fn.build_interval_mesh(-1.0, 1.0, 0.2, np.nan), "collar too thin"),
+], ids=["assemble-eps", "with_eps", "phi_eps", "power-p", "mpa-grad_tol",
+        "check_box-r_ext"])
+def test_library_validator_rejects_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestIdentitySuite:
     def test_passes_on_2d_box(self, tmp_path):
         cfg = parse_config(BOX_IDENTITIES)
@@ -697,6 +714,54 @@ class TestCli:
         assert rc == 2
         assert (f"solution file {path}, line 2: eps must be a number, got 'abc'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("sweep", "eps_list = 0.3, 0.15", "eps_list = 0.3, nan"),
+        ("sweep", "solver.grad_tol = 1e-8", "solver.grad_tol = nan"),
+        ("sweep", "domain.r_ext = 2.0", "domain.r_ext = inf"),
+        ("sweep", "domain.r_ext = 2.0", "domain.r_ext = nan"),
+        ("identities", "eps = 0.2", "eps = nan"),
+    ], ids=["eps_list", "grad_tol", "r_ext-inf", "r_ext-nan", "eps"])
+    def test_non_finite_config_value_exit_two(self, tmp_path, capsys, command,
+                                              old, new):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(QUICK_SWEEP.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert new in bad.read_text()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        key, _, value = (part.strip() for part in new.partition("="))
+        raw = value.split(", ")[-1]
+        assert (f"key '{key}': expected a finite number, got '{raw}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index, line, message", [
+        (1, "# eps=nan", "line 2: eps must be a finite positive number, got 'nan'"),
+        (2, "# grad_tol=nan",
+         "line 3: grad_tol must be a finite positive number, got 'nan'"),
+        (2, "# grad_tol=-1",
+         "line 3: grad_tol must be a finite positive number, got '-1'"),
+        (5, "{x} nan", "line 6: expected 1 coordinates + value per line, all "
+                       "finite, got '{x} nan'"),
+    ], ids=["eps-nan", "grad_tol-nan", "grad_tol-negative", "value-nan"])
+    def test_malformed_snapshot_exit_two(self, quick_cfg_file, tmp_path, capsys,
+                                         index, line, message):
+        cfg = load_config(quick_cfg_file)
+        mesh = cfg.build_mesh()
+        path = tmp_path / "sol.txt"
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=0.15, grad_tol=1e-8)
+        lines = path.read_text().splitlines()
+        x = lines[5].split()[0]
+        lines[index] = line.format(x=x)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["moser", "--config", str(quick_cfg_file), "--solution",
+                   str(path), "--out", str(out)])
+        assert rc == 2
+        assert (f"solution file {path}, {message.format(x=x)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_failed_chain_exit_one(self, quick_cfg_file, tmp_path, monkeypatch):
         # an absurdly small embedding constant fails every chain check; the

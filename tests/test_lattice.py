@@ -18,8 +18,7 @@ from fracneumann import mountain_pass, operators
 from fracneumann.config import load_config
 from fracneumann.mountain_pass import _newton_polish
 from fracneumann.operators import (_centered, _graph_laplacian_apply,
-                                   _identity_terms, _pair_sums, _pair_weights,
-                                   _reduced_matrix)
+                                   _pair_sums, _pair_weights, _reduced_matrix)
 
 from conftest import dense_weights, small_operators
 
@@ -127,24 +126,27 @@ class TestConvolutionOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
-           n_rows=st.integers(1, 8))
-    def test_gauss_residual_at_roundoff(self, op, seed, n_rows):
+           n_pairs=st.integers(0, 4))
+    def test_gauss_residual_at_roundoff(self, op, seed, n_pairs):
+        # one pair (2, n) for n_pairs == 0, else a (n_pairs, 2, n) stack
         lat = lattice_twin(op)
-        u = grid_functions(np.random.default_rng(seed), n_rows, op.n_total)
+        shape = (n_pairs, 2, op.n_total) if n_pairs else (2, op.n_total)
+        uv = np.random.default_rng(seed).standard_normal(shape)
         with convolutions() as spy:
-            resid, scale = _identity_terms(lat, _graph_laplacian_apply(lat, u))[0]
+            terms = fn.check_identities(lat, uv)
         assert spy.call_count == 1
-        assert np.all(resid <= 1e-12 * scale)
+        for resid, scale in terms:  # Gauss, then Green
+            assert np.all(resid <= 1e-12 * scale)
 
     def test_reference_mesh(self, op_ref):
         # the reference operator stores no blocks: the oracle builds them
         oracle = dense_twin(op_ref)
-        u = grid_functions(np.random.default_rng(5), 3, op_ref.n_total)
+        u = grid_functions(np.random.default_rng(5), 4, op_ref.n_total)
         with convolutions() as spy:
             got = _graph_laplacian_apply(op_ref, u)
         assert spy.call_count == 1
-        resid, scale = _identity_terms(op_ref, got)[0]
-        assert np.all(resid <= 1e-12 * scale)
+        for resid, scale in fn.check_identities(op_ref, u.reshape(2, 2, -1)):
+            assert np.all(resid <= 1e-12 * scale)
         want = dense_apply(oracle, u)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(np.abs(op_ref.row_sums - oracle.row_sums)

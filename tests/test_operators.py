@@ -6,26 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
-from scipy import special
 
 import fracneumann as fn
 from fracneumann import operators
 from fracneumann.config import load_config
-from fracneumann.operators import (_centered, _flux, _graph_laplacian_apply,
-                                   _identity_terms, _reduced_matrix, _regional)
+from fracneumann.operators import (_centered, _graph_laplacian_apply,
+                                   _reduced_matrix, _regional)
 
 from conftest import dense_weights, random_grid_function, small_operators
-
-
-def shared_pass(op, u, v):
-    """Gauss and Green terms of ``(u, v)`` (one pair or stacks of pairs) from
-    one kernel apply to the rows ``u0, v0, u1, v1, ...``, as the identity
-    suite takes them."""
-    uv = np.stack([u, v], axis=-2)
-    n = uv.shape[-1]
-    lap = _graph_laplacian_apply(op, uv.reshape(-1, n)).reshape(uv.shape)
-    return _identity_terms(op, lap, uv)
 
 
 def concatenating_apply(op, u):
@@ -52,6 +40,8 @@ def truncated_pv_integral(u, xstar, lo, hi, s, c_ns):
     The substitution ``y = x* +/- rho^2`` removes the endpoint singularity,
     leaving a smooth integrand for the adaptive rule.
     """
+    quad = pytest.importorskip("scipy.integrate").quad
+
     def one_side(extent, sign):
         def integrand(rho):
             return (u(xstar) - u(xstar + sign * rho * rho)) \
@@ -185,6 +175,7 @@ class TestNormalizationConstant:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.5, 0.75, 0.9])
     def test_against_scipy_gamma(self, dim, s):
+        special = pytest.importorskip("scipy.special")
         want = 4.0**s * s * special.gamma(dim / 2.0 + s) \
             / (np.pi ** (dim / 2.0) * special.gamma(1.0 - s))
         assert operators.normalization_constant(dim, s) == pytest.approx(want, rel=1e-15)
@@ -409,8 +400,9 @@ class TestIdentities:
         op = request.getfixturevalue(opname)
         for seed in range(10):
             u = random_grid_function(op.mesh, 200 + seed)
-            resid, scale = fn.check_divergence(op, u)
-            assert resid <= 1e-12 * scale
+            v = random_grid_function(op.mesh, 250 + seed)
+            resid, scale = fn.check_identities(op, np.stack([u, v]))[0]
+            assert np.all(resid <= 1e-12 * scale)
 
     @pytest.mark.parametrize("opname", ["op_1d", "op_2d"])
     def test_green_identity_random(self, opname, request):
@@ -418,106 +410,100 @@ class TestIdentities:
         for seed in range(10):
             u = random_grid_function(op.mesh, 300 + seed)
             v = random_grid_function(op.mesh, 400 + seed)
-            resid, scale = fn.check_integration_by_parts(op, u, v)
+            resid, scale = fn.check_identities(op, np.stack([u, v]))[1]
             assert resid <= 1e-12 * scale
 
-    @pytest.mark.parametrize("check, applies", [
-        (lambda op, u, v: fn.check_divergence(op, u), 1),
-        (fn.check_integration_by_parts, 2),
-    ], ids=["gauss", "green"])
-    def test_one_flux_per_check(self, check, applies, op_2d, apply_counter):
+    @pytest.mark.parametrize("k", [None, 1, 3], ids=["pair", "stack-1", "stack-3"])
+    def test_one_apply_per_call(self, k, op_2d, apply_counter):
         # the Laplacian and the normal derivative are rows of one flux, so
-        # each check applies the kernel to u once (Green adds the seminorm),
-        # and its scale reads the same applies
-        u = random_grid_function(op_2d.mesh, 5)
-        v = random_grid_function(op_2d.mesh, 6)
-        resid, scale = check(op_2d, u, v)
-        assert 0.0 <= resid < scale
-        assert len(apply_counter) == applies
+        # one apply to the rows u0, v0, u1, v1, ... gives every term, the
+        # scales included
+        n = op_2d.n_total
+        shape = (2, n) if k is None else (k, 2, n)
+        uv = np.random.default_rng(5).standard_normal(shape)
+        (g_res, g_scale), (r_res, r_scale) = fn.check_identities(op_2d, uv)
+        assert g_res.shape == g_scale.shape == shape[:-1]
+        assert r_res.shape == r_scale.shape == shape[:-2]
+        assert np.all(g_res < g_scale) and np.all(r_res < r_scale)
+        assert apply_counter == [(uv.size // n, n)]
+
+    @pytest.mark.parametrize("shape", [(0,), (1, 0), (3, 0), (2, -1),
+                                       (2, 2, 1), (4, 3, 0), (1, 1, 2, 0)])
+    def test_rejects_other_shapes(self, shape, op_1d, apply_counter):
+        # the last entry of each shape offsets the node count: anything but
+        # one pair or a stack of pairs fails before the kernel is applied
+        shape = shape[:-1] + (op_1d.n_total + shape[-1],)
+        with pytest.raises(ValueError, match="size mismatch"):
+            fn.check_identities(op_1d, np.ones(shape))
+        assert not apply_counter
 
     @settings(max_examples=60, deadline=None)
     @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
            k=st.integers(1, 5), constant_row=st.booleans())
     def test_stack_matches_rowwise(self, op, seed, k, constant_row):
         rng = np.random.default_rng(seed)
-        u, v = rng.standard_normal((2, k, op.n_total))
+        uv = rng.standard_normal((k, 2, op.n_total))
         if constant_row:
-            u[0] = 1.7  # exact zeros on both paths
-        gauss = (lambda u, v: tuple(x[..., 0] for x in shared_pass(op, u, v)[0]),
-                 lambda u, v: fn.check_divergence(op, u))
-        green = (lambda u, v: shared_pass(op, u, v)[1],
-                 lambda u, v: fn.check_integration_by_parts(op, u, v))
-        for terms in gauss + green:
-            resid, scale = terms(u, v)
-            assert resid.shape == scale.shape == (k,)
-            for i in range(k):
-                resid_1, scale_1 = terms(u[i], v[i])
-                assert abs(resid[i] - resid_1) <= 1e-15 * scale_1
-                assert abs(scale[i] - scale_1) <= 1e-13 * scale_1
+            uv[0, 0] = 1.7  # exact zeros on both paths
+        (g_res, g_scale), (r_res, r_scale) = fn.check_identities(op, uv)
+        assert g_res.shape == g_scale.shape == (k, 2)
+        assert r_res.shape == r_scale.shape == (k,)
+        for i in range(k):
+            (g_res_1, g_scale_1), (r_res_1, r_scale_1) = fn.check_identities(op, uv[i])
+            for stacked, single, scale in ((g_res[i], g_res_1, g_scale_1),
+                                           (g_scale[i], g_scale_1, g_scale_1),
+                                           (r_res[i], r_res_1, r_scale_1),
+                                           (r_scale[i], r_scale_1, r_scale_1)):
+                assert np.all(np.abs(stacked - single) <= 1e-15 * scale)
 
-        semi = fn.seminorm_form(op, u, v)
+        u = uv[:, 0]
         flux = fn.neumann_derivative(op, u)
         w = rng.standard_normal((k, op.n_interior))
         ext = fn.exterior_extension(op, w)
-        # roundoff scales: the Green terms for the form, and for one flux
-        # value its row sum times the largest pair difference
-        green_scale = fn.check_integration_by_parts(op, u, v)[1]
+        # the roundoff scale of one flux value: its row sum times the largest
+        # pair difference
         flux_scale = 2.0 * op.row_sums.max() / op.mesh.cell_volume
         for i in range(k):
-            assert abs(semi[i] - fn.seminorm_form(op, u[i], v[i])) \
-                <= 1e-13 * green_scale[i]
             assert np.all(np.abs(flux[i] - fn.neumann_derivative(op, u[i]))
                           <= 1e-13 * flux_scale * np.max(np.abs(u[i])))
             assert np.all(np.abs(ext[i] - fn.exterior_extension(op, w[i]))
                           <= 1e-14 * np.max(np.abs(w[i])))
 
-    @settings(max_examples=60, deadline=None)
-    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
-           k=st.integers(1, 5))
-    def test_shared_pass_matches_the_public_checks(self, op, seed, k):
-        # one apply to the rows u0, v0, u1, v1, ... gives the Gauss terms of
-        # every row and the Green terms of every pair
-        uv = np.random.default_rng(seed).standard_normal((k, 2, op.n_total))
-        (g_res, g_scale), (r_res, r_scale) = shared_pass(op, uv[:, 0], uv[:, 1])
-        assert g_res.shape == g_scale.shape == (k, 2)
-        assert r_res.shape == r_scale.shape == (k,)
-        for i in range(k):
-            for j in range(2):
-                resid, scale = fn.check_divergence(op, uv[i, j])
-                assert abs(g_res[i, j] - resid) <= 1e-15 * scale
-                assert abs(g_scale[i, j] - scale) <= 1e-13 * scale
-            resid, scale = fn.check_integration_by_parts(op, uv[i, 0], uv[i, 1])
-            assert abs(r_res[i] - resid) <= 1e-15 * scale
-            assert abs(r_scale[i] - scale) <= 1e-13 * scale
-
-    def test_single_function_gives_float_with_unchanged_bits(self, op_2d):
+    def test_pair_terms_match_the_formulas(self, op_2d):
+        # vol-weighted sums over domain then collar, each pairwise summed,
+        # of the fluxes of the rows u, v taken as one stack
         u = random_grid_function(op_2d.mesh, 7)
         v = random_grid_function(op_2d.mesh, 8)
         ni, vol = op_2d.n_interior, op_2d.mesh.cell_volume
-        flux = _flux(op_2d, u)
-        semi = float(_centered(u) @ _graph_laplacian_apply(op_2d, v))
-        rhs = vol * float(v[:ni] @ flux[:ni]) + vol * float(v[ni:] @ flux[ni:])
+        lap = _graph_laplacian_apply(op_2d, np.stack([u, v]))
+        flux = lap / vol
         afl = np.abs(flux)
-        gauss = fn.check_divergence(op_2d, u)
-        green = fn.check_integration_by_parts(op_2d, u, v)
-        assert type(gauss) is type(green) is tuple
-        pairs = [
-            (gauss[0],
-             abs(vol * float(np.sum(flux[:ni])) + vol * float(np.sum(flux[ni:])))),
-            (gauss[1],
-             vol * float(np.sum(afl[:ni])) + vol * float(np.sum(afl[ni:]))),
-            (fn.seminorm_form(op_2d, u, v), semi),
-            (green[0], abs(semi - rhs)),
-            (green[1], vol * float(np.abs(v[:ni]) @ afl[:ni])
-             + vol * float(np.abs(v[ni:]) @ afl[ni:])),
-        ]
-        for got, expected in pairs:
-            assert type(got) is float and got == expected
-        assert type(fn.bilinear_form(op_2d, u, v)) is float
+        semi = (_centered(u) * lap[1]).sum()
+        rhs = vol * (v[:ni] * flux[0, :ni]).sum() + vol * (v[ni:] * flux[0, ni:]).sum()
+        (g_res, g_scale), (r_res, r_scale) = fn.check_identities(op_2d, np.stack([u, v]))
+        assert np.array_equal(
+            g_res, np.abs(vol * flux[:, :ni].sum(1) + vol * flux[:, ni:].sum(1)))
+        assert np.array_equal(g_scale, vol * afl[:, :ni].sum(1) + vol * afl[:, ni:].sum(1))
+        assert r_res == abs(semi - rhs)
+        assert r_scale == (vol * (np.abs(v[:ni]) * afl[0, :ni]).sum()
+                           + vol * (np.abs(v[ni:]) * afl[0, ni:]).sum())
+
+    def test_single_function_gives_float_with_unchanged_bits(self, op_2d):
+        # the forms take one BLAS dot, as the tent thresholds read them
+        u = random_grid_function(op_2d.mesh, 7)
+        v = random_grid_function(op_2d.mesh, 8)
+        ni, vol = op_2d.n_interior, op_2d.mesh.cell_volume
+        semi = float(_centered(u) @ _graph_laplacian_apply(op_2d, v))
+        got = fn.seminorm_form(op_2d, u, v)
+        assert type(got) is float and got == semi
+        form = fn.bilinear_form(op_2d, u, v)
+        assert type(form) is float
+        assert form == op_2d.eps ** (2.0 * op_2d.s) * semi + vol * float(u[:ni] @ v[:ni])
 
     def test_gauss_constant_exact_zero(self, op_1d, mesh_1d):
         c = np.full(mesh_1d.n_total, 1.3)
-        assert fn.check_divergence(op_1d, c) == (0.0, 0.0)
+        for terms in fn.check_identities(op_1d, np.stack([c, c])):
+            assert all(np.all(x == 0.0) for x in terms)
 
     def test_indicator_balances(self, op_1d, mesh_1d):
         u = np.zeros(mesh_1d.n_total)
@@ -531,7 +517,7 @@ class TestIdentities:
     def test_green_with_constant_v_reduces_to_gauss(self, op_1d, mesh_1d):
         u = random_grid_function(mesh_1d, 17)
         v = np.ones(mesh_1d.n_total)
-        resid, scale = fn.check_integration_by_parts(op_1d, u, v)
+        resid, scale = fn.check_identities(op_1d, np.stack([u, v]))[1]
         assert resid <= 1e-12 * max(scale, 1.0)
 
     def test_seminorm_kernel_is_constants(self):
