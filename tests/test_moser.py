@@ -91,10 +91,15 @@ class TestDifferenceInequality:
 
     def test_counterexample_from_broadcast_inputs(self, monkeypatch):
         # a G that overshoots at t > 1 breaks the bound from the sample
-        # with a = 2 on; the counterexample names that sample's inputs
-        G = moser.G_trunc
-        monkeypatch.setattr(moser, "G_trunc",
-                            lambda alpha, M, t: G(alpha, M, t) * (1.0 + (t > 1.0)))
+        # with a = 2 on (b = 0, so G(b) = 0 and the increment doubles); the
+        # counterexample names that sample's inputs
+        increments = moser._increments
+
+        def overshoot(alpha, M, hi, lo):
+            dG, dg = increments(alpha, M, hi, lo)
+            return dG * (1.0 + (hi > 1.0)), dg
+
+        monkeypatch.setattr(moser, "_increments", overshoot)
         ok, ce = fn.check_G_inequality(3.0, [5.0], [0.5, 2.0, 3.0], 0.0)
         assert not ok and ce == (3.0, 5.0, 2.0, 0.0)
 

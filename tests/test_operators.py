@@ -469,6 +469,40 @@ class TestIdentities:
             assert np.all(np.abs(ext[i] - fn.exterior_extension(op, w[i]))
                           <= 1e-14 * np.max(np.abs(w[i])))
 
+    @settings(max_examples=60, deadline=None)
+    @given(op=small_operators(), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(1, 5))
+    def test_shared_pass_matches_the_public_checks(self, op, seed, k):
+        # one apply to the rows u0, v0, u1, v1, ... gives the Gauss terms of
+        # every row and the Green terms of every pair that the public
+        # operators, applied one function at a time, give
+        uv = np.random.default_rng(seed).standard_normal((k, 2, op.n_total))
+        (g_res, g_scale), (r_res, r_scale) = fn.check_identities(op, uv)
+        assert g_res.shape == g_scale.shape == (k, 2)
+        assert r_res.shape == r_scale.shape == (k,)
+        ni, vol = op.n_interior, op.mesh.cell_volume
+
+        def flux(w):
+            return np.concatenate([fn.frac_laplacian(op, w),
+                                   fn.neumann_derivative(op, w)])
+
+        def pairing(a, f):
+            return vol * float(a[:ni] @ f[:ni]) + vol * float(a[ni:] @ f[ni:])
+
+        for i in range(k):
+            for j in range(2):
+                f = flux(uv[i, j])
+                resid = abs(vol * f[:ni].sum() + vol * f[ni:].sum())
+                scale = vol * np.abs(f[:ni]).sum() + vol * np.abs(f[ni:]).sum()
+                assert abs(g_res[i, j] - resid) <= 1e-15 * scale
+                assert abs(g_scale[i, j] - scale) <= 1e-13 * scale
+            u, v = uv[i]
+            fu = flux(u)
+            resid = abs(fn.seminorm_form(op, u, v) - pairing(v, fu))
+            scale = pairing(np.abs(v), np.abs(fu))
+            assert abs(r_res[i] - resid) <= 1e-15 * scale
+            assert abs(r_scale[i] - scale) <= 1e-13 * scale
+
     def test_pair_terms_match_the_formulas(self, op_2d):
         # vol-weighted sums over domain then collar, each pairwise summed,
         # of the fluxes of the rows u, v taken as one stack
