@@ -82,8 +82,7 @@ def main(argv=None) -> int:
             return 0 if ok else 1
 
         if args.command == "sigma":
-            dim = cfg.dim
-            print(f"sigma({dim}) = {solve_sigma(dim):.12f}")
+            print(f"sigma({cfg.dim}) = {solve_sigma(cfg.dim):.12f}")
             return 0
 
         if args.command == "constants":

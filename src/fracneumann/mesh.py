@@ -85,10 +85,13 @@ class DomainMesh:
 
 
 def check_box(bounds, h: float, r_ext: float) -> tuple[np.ndarray, np.ndarray]:
-    """The corners ``(lo, hi)`` of the box ``bounds``, or ValueError unless
-    ``h`` is positive and divides every side to 1e-9 relative (the interior
-    cells tile the box) and ``r_ext`` is at least the box diameter (the
-    kernel tail seen from interior nodes is not truncated too hard)."""
+    """The corners ``(lo, hi)`` of the finite box ``bounds``, or ValueError
+    unless ``h`` is finite, positive and divides every side to 1e-9 relative
+    (the interior cells tile the box) and ``r_ext`` is finite and at least the
+    box diameter (the kernel tail seen from interior nodes is not truncated)."""
+    for name, value in (("h", h), ("r_ext", r_ext), ("bounds", bounds)):
+        if np.any(np.isinf(value)):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
     lo, hi = (np.array(corner, dtype=float) for corner in zip(*bounds))
     if not h > 0.0:
         raise ValueError(f"grid spacing must be positive, got h={h}")

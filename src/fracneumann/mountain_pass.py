@@ -27,9 +27,6 @@ Certificates attached to a solve:
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -287,32 +284,6 @@ class _PathState:
         self.chords = np.linalg.norm(np.diff(new_path, axis=0), axis=1)
 
 
-@functools.cache
-def _blas_threads():
-    """OpenBLAS's thread-count ``(get, set)`` pair, or None; ``dlsym`` on
-    numpy's linalg extension also searches the BLAS that it links."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
-                 "openblas_%s_num_threads"):
-        if hasattr(lib, name % "get"):
-            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, then restore the caller's count."""
-    get, set_ = _blas_threads() or (lambda: None, lambda n: None)
-    prev = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(prev)
-
-
 def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
                    grad_tol: float) -> tuple[np.ndarray, int]:
     """Drive the crest point to a critical point with damped Newton steps.
@@ -326,10 +297,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
     sufficient decrease of the sup-norm residual, then the gradient step
     ``-g`` as a safeguard, accepted on any decrease.  Stopping above
     ``grad_tol``, after ``NEWTON_MAX_STEPS`` steps or when neither direction
-    decreases the residual, warns with a ``RuntimeWarning``.  The dense
-    solve runs on one BLAS thread: at ``n_i = 400`` that is as fast as two,
-    leaves no helper thread spinning, and makes the step's bits independent
-    of the caller's thread count.
+    decreases the residual, warns with a ``RuntimeWarning``.
     """
     op = spec.op
     ni = spec.mesh.n_interior
@@ -354,8 +322,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
         # W_ie ge and W_ei dx_i: rows of -L [0, ge] and -L [dx_i, 0]
         w_ge = -_graph_laplacian_apply(op, np.concatenate([np.zeros(ni), ge]))[:ni]
         try:
-            with _one_blas_thread():
-                dx_i = np.linalg.solve(hess, -g[:ni] - w_ge)
+            dx_i = np.linalg.solve(hess, -g[:ni] - w_ge)
             w_dx = -_graph_laplacian_apply(op, np.concatenate([dx_i, np.zeros_like(ge)]))[ni:]
             dx = np.concatenate([dx_i, w_dx / d_e - ge / scale])
         except np.linalg.LinAlgError:

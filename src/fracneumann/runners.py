@@ -2,11 +2,14 @@
 
 Each runner builds its scene from a validated RunConfig, writes the report
 files for the run directory, and returns a boolean certificate that the CLI
-maps onto the exit code.
+maps onto the exit code.  Each runs on one BLAS thread (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +52,34 @@ N_IDENTITY_FUNCTIONS = 100  # random Green pairs; Gauss checks both members
 IDENTITY_STACK = 20  # rows per kernel apply
 
 
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's thread-count ``(get, set)`` pair, or None; ``dlsym`` on
+    numpy's linalg extension also searches the BLAS that it links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        if hasattr(lib, name % "get"):
+            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count: no
+    helper thread is left spinning, and no sum is split by the count."""
+    get, set_ = _blas_threads() or (lambda: None, lambda n: None)
+    prev = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prev)
+
+
+@_one_blas_thread()
 def run_identity_suite(cfg: RunConfig, out_dir: str | Path) -> bool:
     """Exercise the operator identities on the configured mesh."""
     out = Path(out_dir)
@@ -123,6 +154,7 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
+@_one_blas_thread()
 def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     """Mountain-pass solve per eps; emits CSV rows, summary JSON, solutions."""
     if not cfg.eps_list:
@@ -218,6 +250,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
                        certificates_ok=certificates_ok, summary=summary)
 
 
+@_one_blas_thread()
 def run_moser_check(cfg: RunConfig, solution_path: str | Path,
                     out_dir: str | Path) -> bool:
     """Norm ladder plus tested-equation checks for a stored solution.
@@ -250,11 +283,8 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
             for alpha in (2.0, 3.0, 5.0) for m_factor in (1.0, 10.0)
             if umax > 0.0]
 
-    ladder_rows = [
-        (n + 1, ladder.beta[n], ladder.q_upper[n], ladder.norms_upper[n],
-         ladder.bound_rhs[n])
-        for n in range(ladder.n_used)
-    ]
+    ladder_rows = [(n + 1, ladder.beta[n], ladder.q_upper[n], ladder.norms_upper[n],
+                    ladder.bound_rhs[n]) for n in range(ladder.n_used)]
     write_csv(out / "moser_ladder.csv",
               ["n", "beta_n", "q", "norm_q", "bound_rhs"],
               ladder_rows, cfg.config_sha256)

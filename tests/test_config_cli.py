@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import pkgutil
@@ -510,6 +511,101 @@ class TestMoserRunner:
         write_solution(path, other, np.ones(other.n_total), "x", eps=0.2)
         with pytest.raises(ValueError, match="different mesh"):
             run_moser_check(cfg, path, tmp_path)
+
+
+class TestRunnersOnOneBlasThread:
+    """Each runner does its BLAS work on one thread and hands the caller's
+    thread count back on every exit path."""
+
+    @pytest.fixture
+    def caller_on_two_threads(self):
+        threads = runners._blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def constant_snapshot(cfg, path, eps=0.2, **header):
+        mesh = cfg.build_mesh()
+        write_solution(path, mesh, np.ones(mesh.n_total), cfg.config_sha256,
+                       eps=eps, **header)
+        return path
+
+    @pytest.mark.parametrize("job, module, name", [
+        ("sweep", np.linalg, "solve"),
+        ("moser", operators, "_reduced_matrix"),
+        ("identities", operators, "_graph_laplacian_apply"),
+    ], ids=["sweep", "moser", "identities"])
+    def test_blas_work_sees_one_thread(self, tmp_path, caller_on_two_threads,
+                                       monkeypatch, job, module, name):
+        get = caller_on_two_threads
+        seen = []
+        inner = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        cfg = parse_config(QUICK_SWEEP.replace("0.3, 0.15", "0.3"))
+        if job == "sweep":
+            assert run_scaling_sweep(cfg, tmp_path).certificates_ok
+        elif job == "moser":
+            path = self.constant_snapshot(cfg, tmp_path / "const.txt")
+            assert run_moser_check(cfg, path, tmp_path / "out")
+        else:
+            assert run_identity_suite(cfg, tmp_path)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+
+    def test_caller_count_restored_after_a_raise(self, tmp_path,
+                                                 caller_on_two_threads,
+                                                 monkeypatch):
+        get = caller_on_two_threads
+        seen = []
+        read = runners.read_solution
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(runners, "read_solution", spy)
+        cfg = parse_config(QUICK_SWEEP)
+        path = self.constant_snapshot(cfg, tmp_path / "const.txt", s=0.3)
+        with pytest.raises(ValueError, match="s=0.3"):
+            run_moser_check(cfg, path, tmp_path / "out")
+        assert seen == [1]
+        assert get() == 2
+
+    def test_outputs_do_not_depend_on_the_caller_count(self, tmp_path,
+                                                       caller_on_two_threads):
+        # on 100 interior nodes two threads move the last digit of the
+        # embedding constant at eps = 0.15 when M is formed threaded
+        set_ = runners._blas_threads()[1]
+        cfg = parse_config(QUICK_SWEEP)
+        path = self.constant_snapshot(cfg, tmp_path / "const.txt", eps=0.15)
+        for threads in (1, 2):
+            set_(threads)
+            assert run_moser_check(cfg, path, tmp_path / str(threads))
+        one, two = ((tmp_path / str(t) / "moser_summary.json").read_bytes()
+                    for t in (1, 2))
+        assert one == two
+
+    def test_without_thread_control_is_a_no_op(self, tmp_path, monkeypatch):
+        # a BLAS without OpenBLAS's symbols (MKL, Accelerate): the lookup
+        # finds nothing and each runner runs as the caller set it up
+        monkeypatch.setattr(runners.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(runners, "_blas_threads",
+                            functools.cache(runners._blas_threads.__wrapped__))
+        assert runners._blas_threads() is None
+        cfg = parse_config(QUICK_SWEEP)
+        assert run_identity_suite(cfg, tmp_path / "identities")
+        path = self.constant_snapshot(cfg, tmp_path / "const.txt")
+        assert run_moser_check(cfg, path, tmp_path / "moser")
 
 
 class TestSolutionFiles:

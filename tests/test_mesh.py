@@ -31,6 +31,14 @@ def test_interval_bad_spacing():
         build_interval_mesh(0.0, 1.0, -0.1, 2.0)
     with pytest.raises(ValueError, match="degenerate"):
         build_interval_mesh(1.0, 0.0, 0.1, 2.0)
+    # each non-finite argument is named, not left to an empty mesh or an
+    # OverflowError from the collar's cell count
+    with pytest.raises(ValueError, match="h must be finite, got h=inf"):
+        build_interval_mesh(-1.0, 1.0, np.inf, 2.0)
+    with pytest.raises(ValueError, match="r_ext must be finite, got r_ext=inf"):
+        build_interval_mesh(-1.0, 1.0, 0.1, np.inf)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        build_interval_mesh(-1.0, np.inf, 0.1, 2.0)
 
 
 def test_box_example_counts():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import warnings
 
 import numpy as np
@@ -500,74 +499,31 @@ class TestNewtonEndgame:
         assert any(np.array_equal(got, u0 - 0.5**k * g0) for k in range(40))
         assert fn.weak_residual(spec, got) < fn.weak_residual(spec, u0)
 
+    def test_singular_solve_takes_the_gradient_step(self, solved_problem,
+                                                    monkeypatch):
+        # the oracle's solve raises too: both take the steepest-descent step;
+        # near zero the energy is nearly quadratic and -g lowers |g|
+        spec, rep, u0 = _perturbed_solution(solved_problem)
+        u0 = 0.1 * u0
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(mountain_pass.np.linalg, "solve", singular)
+        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, steps = _newton_polish(spec, u0, rep.grad_tol)
+        want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol, 3)
+        assert steps == want_steps >= 1
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert not np.array_equal(got, u0)
+
 
 def _perturbed_solution(solved_problem):
     spec, rep = solved_problem["spec"], solved_problem["report"]
     rng = np.random.default_rng(7)
     return spec, rep, rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
-
-
-class TestNewtonSolveThreads:
-    """Newton's dense solve runs on one BLAS thread and hands the caller's
-    thread count back on every exit path."""
-
-    @pytest.fixture
-    def caller_on_two_threads(self):
-        threads = mountain_pass._blas_threads()
-        if threads is None:
-            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
-        get, set_ = threads
-        before = get()
-        set_(2)
-        yield get
-        set_(before)
-
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_solve_sees_one_thread(self, solved_problem, caller_on_two_threads,
-                                   monkeypatch, singular):
-        get = caller_on_two_threads
-        caller = get()
-        spec, rep, u0 = _perturbed_solution(solved_problem)
-        if singular:
-            # near zero the energy is nearly quadratic: descent lowers |g|
-            u0 = 0.1 * u0
-        seen = []
-        solve = np.linalg.solve
-
-        def recording_solve(a, b):
-            seen.append(get())
-            if singular:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        monkeypatch.setattr(mountain_pass.np.linalg, "solve", recording_solve)
-        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got, steps = _newton_polish(spec, u0, rep.grad_tol)
-        assert get() == caller
-        assert seen == [1] * steps and steps >= 1
-        # the oracle's solve raises too: both take the steepest-descent step
-        want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol, 3)
-        assert steps == want_steps
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        if singular:
-            assert not np.array_equal(got, u0)
-
-    def test_without_thread_control_is_a_no_op(self, solved_problem, monkeypatch):
-        # a BLAS without OpenBLAS's symbols (MKL, Accelerate): the lookup
-        # finds nothing and the solve runs as the caller set it up
-        monkeypatch.setattr(mountain_pass.ctypes, "CDLL", lambda path: object())
-        monkeypatch.setattr(mountain_pass, "_blas_threads",
-                            functools.cache(mountain_pass._blas_threads.__wrapped__))
-        assert mountain_pass._blas_threads() is None
-        spec, rep, u0 = _perturbed_solution(solved_problem)
-        got, steps = _newton_polish(spec, u0, rep.grad_tol)
-        want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol,
-                                                NEWTON_MAX_STEPS)
-        assert steps == want_steps > 1
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        assert fn.weak_residual(spec, got) <= rep.grad_tol
 
 
 class TestTwoDimensional:
