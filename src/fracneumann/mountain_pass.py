@@ -7,9 +7,9 @@ along segment interiors (the quadratic energy part is an exact parabola on a
 segment and F is convex, so only segments that can carry it are sampled).
 The best path maximum seen so far, the incumbent min-max level, is
 nonincreasing by construction and upper bounds the critical level.  Once the
-deformation stalls, the incumbent crest point is driven to a critical point by
-a damped Newton iteration on the gradient, which supplies the quadratic-rate
-endgame that plain descent lacks near a saddle.
+deformation stalls, damped Newton steps on the collar-eliminated problem drive
+the incumbent crest point to a critical point, the quadratic-rate endgame that
+plain descent lacks near a saddle.
 
 Certificates attached to a solve:
   * level positivity against the explicit sphere bound
@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import bilinear_form, _graph_laplacian_apply, _reduced_matrix
+from .operators import (bilinear_form, exterior_extension, _centered,
+                        _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
-    energy_gradient,
     f_eval,
     fprime_eval,
     _point_terms,
@@ -97,7 +97,6 @@ class SolveReport:
     crest_segments: int          # path segments whose samples were evaluated
     converged: bool
     grad_tol: float
-    rho: float
     delta: float
     level_above_delta: bool
     constant_capture: bool
@@ -284,47 +283,50 @@ class _PathState:
         self.chords = np.linalg.norm(np.diff(new_path, axis=0), axis=1)
 
 
+def _interior_map(spec: ProblemSpec, m: np.ndarray, ui: np.ndarray) -> np.ndarray:
+    """``F(u_i) = (eps^(2s)/vol) (D - M) u_i + u_i - f(u_i)``, ``D`` the full
+    row sums and ``M = m`` from :func:`_reduced_matrix`: the energy gradient
+    at the zero-flux extension of ``u_i``, whose collar rows vanish.  Taken
+    on centered values, as every apply, so constants come out exactly."""
+    op, ni = spec.op, spec.mesh.n_interior
+    uc = _centered(ui)
+    return (spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
+            * (op.row_sums[:ni] * uc - m @ uc)
+            + ui - f_eval(spec.nonlinearity, ui))
+
+
 def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
                    grad_tol: float) -> tuple[np.ndarray, int]:
-    """Drive the crest point to a critical point with damped Newton steps.
-
-    The Jacobian of the gradient is ``eps^(2s)/vol * L + diag(1 - f'(u))``
-    (reaction terms on interior nodes only).  Its collar block is diagonal,
-    so the collar step is eliminated exactly: the interior step solves the
-    system on :func:`_reduced_matrix`, formed once per call with only its
-    diagonal rewritten per step.  One line search, 40 halvings from a full
-    step, tries two directions in turn: the Newton step, accepted on a
-    sufficient decrease of the sup-norm residual, then the gradient step
-    ``-g`` as a safeguard, accepted on any decrease.  Stopping above
-    ``grad_tol``, after ``NEWTON_MAX_STEPS`` steps or when neither direction
-    decreases the residual, warns with a ``RuntimeWarning``.
+    """Drive the interior values of ``u0`` to a zero of :func:`_interior_map`
+    with damped Newton steps; returns the zero-flux
+    :func:`~fracneumann.operators.exterior_extension` of the last iterate,
+    the call's one kernel apply.  The Jacobian ``eps^(2s)/vol (D - M) +
+    diag(1 - f'(u))`` is formed once per call, with only its diagonal
+    rewritten per step.  One line search, 40 halvings from a full step,
+    tries two directions in turn: the Newton step, accepted on a sufficient
+    decrease of the sup-norm residual, then ``-F`` as a safeguard, accepted
+    on any decrease.  Stopping above ``grad_tol``, after
+    ``NEWTON_MAX_STEPS`` steps or when neither direction decreases the
+    residual, warns with a ``RuntimeWarning``.
     """
-    op = spec.op
-    ni = spec.mesh.n_interior
+    op, ni = spec.op, spec.mesh.n_interior
     scale = spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
-    d_e = op.row_sums[ni:]
-
-    # the diagonal takes the full row sums, as the gradient's apply does
+    # the diagonal takes the full row sums, as F does
     m = _reduced_matrix(op)[0]
     hess = np.multiply(m, -scale)
     diag = hess.ravel()[:: ni + 1]  # a view: writes reach hess
     kernel_diag = scale * (op.row_sums[:ni] - np.diag(m))
-    u = u0.copy()
-    g = energy_gradient(spec, u)
+    u = u0[:ni]
+    g = _interior_map(spec, m, u)
     res = float(np.max(np.abs(g)))
     used = 0
     for _ in range(NEWTON_MAX_STEPS):
         if res <= grad_tol:
             break
         used += 1
-        diag[:] = kernel_diag + (1.0 - fprime_eval(spec.nonlinearity, u[:ni]))
-        ge = g[ni:] / d_e
-        # W_ie ge and W_ei dx_i: rows of -L [0, ge] and -L [dx_i, 0]
-        w_ge = -_graph_laplacian_apply(op, np.concatenate([np.zeros(ni), ge]))[:ni]
+        diag[:] = kernel_diag + (1.0 - fprime_eval(spec.nonlinearity, u))
         try:
-            dx_i = np.linalg.solve(hess, -g[:ni] - w_ge)
-            w_dx = -_graph_laplacian_apply(op, np.concatenate([dx_i, np.zeros_like(ge)]))[ni:]
-            dx = np.concatenate([dx_i, w_dx / d_e - ge / scale])
+            dx = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
             dx = -g
         accepted = False
@@ -332,7 +334,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
             tau = 1.0
             for _ in range(40):
                 cand = u + tau * direction
-                g_cand = energy_gradient(spec, cand)
+                g_cand = _interior_map(spec, m, cand)
                 res_cand = float(np.max(np.abs(g_cand)))
                 if res_cand < res * (1.0 - factor * tau):
                     u, g, res = cand, g_cand, res_cand
@@ -347,7 +349,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
         warnings.warn(f"Newton endgame ended after {used} of {NEWTON_MAX_STEPS} "
                       f"steps at residual {res:.3g} above grad_tol {grad_tol:.3g}",
                       RuntimeWarning, stacklevel=3)
-    return u, used
+    return exterior_extension(op, u), used
 
 
 def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
@@ -359,11 +361,11 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     resampling the path uniformly after each sweep and recording the
     incumbent (best) sampled path maximum, which is nonincreasing by
     construction; it stops after ``FLOW_STALL_WINDOW`` sweeps without a new
-    incumbent or at ``FLOW_MAX_SWEEPS``.  Phase two applies at most
-    ``NEWTON_MAX_STEPS`` damped Newton steps to the incumbent crest until its
-    weak residual falls below the gradient tolerance.  A flow whose last
-    incumbent lies below the sphere bound ``delta`` has crossed the mountain
-    at every sample; it warns and is reported not converged.
+    incumbent or at ``FLOW_MAX_SWEEPS``.  Phase two, :func:`_newton_polish`,
+    drives the crest's interior values to a critical point and returns their
+    zero-flux extension.  A flow whose last incumbent lies below the sphere
+    bound ``delta`` has crossed the mountain at every sample; it warns and is
+    reported not converged.
 
     ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound.
     ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
@@ -423,8 +425,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     level, norm_sq, grad = _point_terms(spec, u)
     res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
-    ni = spec.mesh.n_interior
-    ui = u[:ni]
+    ui = u[:spec.mesh.n_interior]
     mean = float(np.mean(ui))
     nonconstancy = float(np.std(ui) / abs(mean)) if mean != 0.0 else np.inf
     constant_capture = bool(nonconstancy < CONSTANT_CAPTURE_TOL and converged)
@@ -443,7 +444,6 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
         crest_segments=state.crest_segments,
         converged=converged,
         grad_tol=float(grad_tol),
-        rho=float(rho),
         delta=float(delta),
         level_above_delta=bool(level >= delta > 0.0),
         constant_capture=constant_capture,

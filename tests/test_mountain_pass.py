@@ -9,9 +9,9 @@ import fracneumann as fn
 from fracneumann import moser, mountain_pass
 from fracneumann.mountain_pass import (DESCENT_STEP, NEWTON_MAX_STEPS,
                                        PATH_POINTS, SEGMENT_SAMPLES,
-                                       SPHERE_A, _newton_polish, _PathState,
-                                       _sphere_bound)
-from fracneumann.operators import _graph_laplacian_apply
+                                       SPHERE_A, _interior_map, _newton_polish,
+                                       _PathState, _sphere_bound)
+from fracneumann.operators import _graph_laplacian_apply, _reduced_matrix
 from fracneumann.problem import _reaction, f_eval, fprime_eval
 
 from conftest import dense_weights, energy_scale, small_problems
@@ -382,12 +382,15 @@ class TestSolve:
 
 def _full_hessian_newton(spec, u0, grad_tol, max_iter):
     """Oracle: the Newton endgame on every node, collar included, with the
-    dense full-mesh Hessian ``eps^(2s)/vol * L + diag(1 - f'(u))``."""
+    dense full-mesh Hessian ``eps^(2s)/vol * L + diag(1 - f'(u))``, on the
+    zero-flux manifold: the start and every line-search candidate get their
+    collar set to the :func:`~fracneumann.exterior_extension` of their
+    interior values."""
     op = spec.op
     ni = spec.mesh.n_interior
     kernel = (spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
               * (np.diag(op.row_sums) - dense_weights(op)))
-    u = u0.copy()
+    u = fn.exterior_extension(op, u0[:ni])
     g = fn.energy_gradient(spec, u)
     res = float(np.max(np.abs(g)))
     used = 0
@@ -406,7 +409,7 @@ def _full_hessian_newton(spec, u0, grad_tol, max_iter):
         for direction, factor in ((dx, 1e-4), (-g, 0.0)):
             tau = 1.0
             for _ in range(40):
-                cand = u + tau * direction
+                cand = fn.exterior_extension(op, (u + tau * direction)[:ni])
                 g_cand = fn.energy_gradient(spec, cand)
                 res_cand = float(np.max(np.abs(g_cand)))
                 if res_cand < res * (1.0 - factor * tau):
@@ -431,17 +434,14 @@ def solved_square():
     rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
                                  sobolev_constant=fn.estimate_sobolev_constant(op))
     assert rep.converged
-    return spec, rep
+    return {"spec": spec, "report": rep}
 
 
 class TestNewtonEndgame:
     @pytest.mark.parametrize("problem", ["solved_problem", "solved_square"])
     def test_matches_full_hessian_newton(self, problem, request):
         solved = request.getfixturevalue(problem)
-        if problem == "solved_problem":
-            spec, rep = solved["spec"], solved["report"]
-        else:
-            spec, rep = solved
+        spec, rep = solved["spec"], solved["report"]
         rng = np.random.default_rng(7)
         u0 = rep.u * (1.0 + 0.05 * rng.standard_normal(rep.u.size))
         got, steps = _newton_polish(spec, u0, rep.grad_tol)
@@ -480,9 +480,9 @@ class TestNewtonEndgame:
     def test_gradient_safeguard_when_the_newton_step_fails(self, solved_problem,
                                                           monkeypatch):
         # a solve that returns the negated Newton step raises the residual at
-        # every one of its 40 halvings, so the step falls back on -g, as the
-        # oracle's does; near zero the energy is nearly quadratic and -g
-        # lowers the residual
+        # every one of its 40 halvings, so the step falls back on -F, as the
+        # oracle's does on -g; near zero the energy is nearly quadratic and
+        # -F lowers the residual
         spec, rep, u0 = _perturbed_solution(solved_problem)
         u0 = 0.1 * u0
         solve = np.linalg.solve
@@ -495,8 +495,10 @@ class TestNewtonEndgame:
         want, want_steps = _full_hessian_newton(spec, u0, rep.grad_tol, 1)
         assert steps == want_steps == 1
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        g0 = fn.energy_gradient(spec, u0)
-        assert any(np.array_equal(got, u0 - 0.5**k * g0) for k in range(40))
+        ui = u0[:spec.mesh.n_interior]
+        g0 = _interior_map(spec, _reduced_matrix(spec.op)[0], ui)
+        assert any(np.array_equal(got, fn.exterior_extension(spec.op, ui - 0.5**k * g0))
+                   for k in range(40))
         assert fn.weak_residual(spec, got) < fn.weak_residual(spec, u0)
 
     def test_singular_solve_takes_the_gradient_step(self, solved_problem,
@@ -518,6 +520,25 @@ class TestNewtonEndgame:
         assert steps == want_steps >= 1
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert not np.array_equal(got, u0)
+
+    @pytest.mark.parametrize("problem", ["solved_problem", "solved_square"])
+    def test_solutions_are_zero_flux_extensions(self, problem, request):
+        solved = request.getfixturevalue(problem)
+        spec, rep = solved["spec"], solved["report"]
+        ni = spec.mesh.n_interior
+        assert np.array_equal(rep.u, fn.exterior_extension(spec.op, rep.u[:ni]))
+
+    @pytest.mark.parametrize("max_steps", [1, NEWTON_MAX_STEPS])
+    def test_one_kernel_apply_whatever_the_step_count(self, solved_problem,
+                                                      apply_counter,
+                                                      monkeypatch, max_steps):
+        spec, rep, u0 = _perturbed_solution(solved_problem)
+        monkeypatch.setattr(mountain_pass, "NEWTON_MAX_STEPS", max_steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, steps = _newton_polish(spec, u0, rep.grad_tol)
+        assert steps == 1 if max_steps == 1 else steps > 1
+        assert apply_counter == [(spec.mesh.n_total,)]
 
 
 def _perturbed_solution(solved_problem):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fracneumann as fn
 from fracneumann import operators
@@ -746,8 +746,11 @@ class TestClosedFormLineSearch:
                                       rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(op=small_operators())
-    def test_value_is_the_lifted_quotient_and_ascends(self, op):
+    @given(op=small_operators(), capped=st.just(False))
+    # a draw on which the ascent stops at its iteration cap, every run
+    @example(op=fn.assemble(fn.build_interval_mesh(0.0, 1.0, 0.1, 1.05), 0.05, 1.0),
+             capped=True)
+    def test_value_is_the_lifted_quotient_and_ascends(self, op, capped):
         maximizers = []
         ascend = operators._ascend
 
@@ -755,9 +758,18 @@ class TestClosedFormLineSearch:
             maximizers.append(ascend(*args))
             return maximizers[-1]
 
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             mp.setattr(operators, "_ascend", recorded)
             value = fn.estimate_embedding_constant(op)
+        cap = ("embedding quotient maximization hit the iteration cap of "
+               f"{operators.EMBEDDING_MAX_ITER}; returning the last iterate's "
+               "estimate")
+        messages = [str(w.message) for w in caught]
+        # other draws may stop at the cap too; the example always does
+        assert messages in (([cap],) if capped else ([], [cap]))
+        assert all(w.category is RuntimeWarning for w in caught)
         (val, u), = maximizers
         vol, e2s = op.mesh.cell_volume, op.eps ** (2.0 * op.s)
         q = operators.critical_exponent(op.mesh.dim, op.s)
