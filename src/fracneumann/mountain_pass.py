@@ -36,6 +36,7 @@ from .operators import (bilinear_form, exterior_extension, _centered,
                         _graph_laplacian_apply, _reduced_matrix)
 from .problem import (
     ProblemSpec,
+    energy,
     f_eval,
     fprime_eval,
     _point_terms,
@@ -104,23 +105,18 @@ class SolveReport:
     max_energy_history: np.ndarray = field(repr=False)
 
 
-def endpoint(spec: ProblemSpec, phi: np.ndarray, tent: TentThresholds,
-             with_terms: bool = False):
+def endpoint(spec: ProblemSpec, phi: np.ndarray, tent: TentThresholds) -> np.ndarray:
     """Path endpoint ``e = t2 * phi`` with certified negative energy, ``t2``
-    from the :func:`~fracneumann.tent.thresholds` ``tent`` of ``phi``.
-
-    ``with_terms`` returns ``(e, terms)`` instead: ``terms`` are ``(energy,
-    bilinear_form(e, e), gradient)`` from the kernel apply that certified
-    ``e``, which :func:`mountain_pass_solve` takes as ``e_terms``.
-    """
+    from the :func:`~fracneumann.tent.thresholds` ``tent`` of ``phi``; the
+    certificate costs one kernel apply to ``e``."""
     e = tent.t2 * phi
-    terms = _point_terms(spec, e)
-    if terms[0] >= 0.0:
+    e_energy = energy(spec, e)
+    if e_energy >= 0.0:
         raise RuntimeError(
-            f"endpoint energy {terms[0]:.6g} is not negative at t2={tent.t2:.6g}; "
+            f"endpoint energy {e_energy:.6g} is not negative at t2={tent.t2:.6g}; "
             "threshold certificates are unreliable on this mesh"
         )
-    return (e, terms) if with_terms else e
+    return e
 
 
 def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
@@ -353,7 +349,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
 
 
 def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
-                        sobolev_constant: float, e_terms=None) -> SolveReport:
+                        sobolev_constant: float) -> SolveReport:
     """Deform the segment path from 0 to ``e`` onto a critical point.
 
     Phase one flows the interior points of a ``PATH_POINTS``-point path
@@ -368,14 +364,14 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     reported not converged.
 
     ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound.
-    ``e_terms`` are the endpoint's terms from :func:`endpoint`, which spare
-    a second kernel apply to ``e``; ``None`` computes them.
+    The endpoint's energy, norm and gradient come from the path's kernel
+    apply, whose last row is that of ``e``.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
-    e_energy, e_norm_sq, e_grad = (_point_terms(spec, e) if e_terms is None
-                                   else e_terms)
+    state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
+    e_energy, e_norm_sq, e_grad = _point_terms(spec, e, state.lrows[-1])
     if e_energy >= 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
 
@@ -389,8 +385,6 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     grad_tol = cfg.grad_tol
     if grad_tol is None:
         grad_tol = 1e-8 * float(np.max(np.abs(e_grad)))
-
-    state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
 
     incumbent = np.inf
     crest_pt = state.path[PATH_POINTS // 2].copy()
@@ -422,7 +416,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol)
 
-    level, norm_sq, grad = _point_terms(spec, u)
+    level, norm_sq, grad = _point_terms(spec, u, _graph_laplacian_apply(op, u))
     res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
     ui = u[:spec.mesh.n_interior]

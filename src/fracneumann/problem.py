@@ -210,7 +210,8 @@ def energy(spec: ProblemSpec, u: np.ndarray) -> float:
     with the quadratic part realised through the shared weight set so the
     decomposition ``energy = 0.5 ||u||^2 - integral F(u)`` is exact.
     """
-    return _point_terms(spec, _check_size(spec.op, u))[0]
+    u = _check_size(spec.op, u)
+    return _point_terms(spec, u, _graph_laplacian_apply(spec.op, u))[0]
 
 
 def energy_gradient(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
@@ -233,11 +234,12 @@ def _gradient(spec: ProblemSpec, u: np.ndarray, lu: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _point_terms(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _point_terms(spec: ProblemSpec, u: np.ndarray,
+                 lu: np.ndarray) -> tuple[float, float, np.ndarray]:
     """(:func:`energy`, ``bilinear_form(u, u)``, gradient) of one grid
-    function from one kernel apply; each has the bits of its own call."""
+    function from the kernel apply ``lu`` of ``u``; with ``lu`` from a single
+    apply of ``u``, each has the bits of its own call."""
     ni = spec.mesh.n_interior
-    lu = _graph_laplacian_apply(spec.op, u)
     e2s, semi = spec.eps ** (2.0 * spec.s), float(_centered(u) @ lu)
     return (0.5 * e2s * semi + float(_reaction(spec, u[:ni])),
             e2s * semi + spec.mesh.cell_volume * float(u[:ni] @ u[:ni]),

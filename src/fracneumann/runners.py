@@ -129,7 +129,7 @@ def run_identity_suite(cfg: RunConfig, out_dir: str | Path) -> bool:
     scaled = build_box_mesh(np.divide(cfg.bounds, eps), cfg.h / eps,
                             cfg.resolved_r_ext() / eps)
     resid = verify_scaling_identity(mesh, scaled, cfg.s, eps, probe)
-    record("dilation_identity_relative", resid, 5.0 * cfg.h)
+    record("dilation_identity_relative", resid, IDENTITY_TOL)
 
     all_pass = all(c["pass"] for c in checks)
     write_json(out / "identities.json",
@@ -175,10 +175,9 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     for eps, phi in zip(cfg.eps_list, phis):
         spec = ProblemSpec(mesh, base.with_eps(eps), nl)
         tent = thresholds(spec, phi)
-        e, e_terms = endpoint(spec, phi, tent, with_terms=True)
         report = mountain_pass_solve(
-            spec, e, mpa, sobolev_constant=estimate_embedding_constant(spec.op),
-            e_terms=e_terms)
+            spec, endpoint(spec, phi, tent), mpa,
+            sobolev_constant=estimate_embedding_constant(spec.op))
 
         specs.append(spec)
         reports.append(report)

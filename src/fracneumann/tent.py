@@ -4,8 +4,9 @@ The tent bump ``phi(x) = eps**(-dim) (1 - |x|/eps)`` for ``|x| <= eps`` (zero
 outside) drives every quantitative certificate of the small-energy regime:
 its Lq masses have the closed form ``K_q eps**((1-q) dim)``, a unique level
 ``sigma`` splits its squared mass in half, and the ray energy
-``g(t) = energy(t phi)`` is provably negative beyond an explicit threshold.
-All constants here are exact or bisection-accurate so the solver-side
+``g(t) = energy(t phi)`` is provably negative beyond an explicit threshold,
+with its maximum at the ray's only critical point in closed form.  All
+constants here are exact or bisection-accurate so the solver-side
 certificates have something rigid to lean on.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .mesh import DomainMesh
 from .operators import bilinear_form, seminorm_form
-from .problem import ProblemSpec, f_eval, _bisect, _reaction
+from .problem import ProblemSpec, F_eval, f_eval, _bisect, _reaction
 
 __all__ = [
     "unit_ball_volume",
@@ -32,7 +33,6 @@ __all__ = [
 ]
 
 SIGMA_TOL = 1e-12  # bisection tolerance of solve_sigma
-SCAN_POINTS = 160  # ray samples per certificate scan of thresholds
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -139,9 +139,9 @@ class TentThresholds:
     t2: float              # ray energy is negative from t2 on
     bound: float           # max_t g(t) <= bound = c1 * eps**dim
     c_est: float           # measured eps**dim * ||phi||^2
-    g_max: float           # largest ray energy seen on the certificate scan
-    scan_ok: bool          # both scan certificates passed
-    failures: list
+    g_max: float           # ray maximum g(t_star); inf when integral F(phi) = 0
+    scan_ok: bool          # all three certificates passed
+    failures: list         # (name, t checked) of each failed certificate
 
 
 def thresholds(spec: ProblemSpec, phi: np.ndarray) -> TentThresholds:
@@ -151,9 +151,12 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray) -> TentThresholds:
     ``f(xi) >= R xi`` exactly when ``xi >= R**(1/(p-2))``.  The slope
     thresholds are taken at twice their minimal values (R1 = 4 C / K2,
     R2 = 2 C / K2, with C the measured tent energy ``eps**dim ||phi||^2``)
-    so the scan certificates are robust to quadrature error.  The scans
-    check ``g'(t) < 0`` at ``SCAN_POINTS`` sampled ``t > t1`` and
-    ``g(t) < 0`` at as many ``t >= t2``; failures are collected, not raised.
+    so the certificates are robust to quadrature error.  After the one
+    kernel apply, three scalar ray evaluations certify the ray:
+    ``g_max = g(t_star)`` at ``t_star = (||phi||^2 / (p integral F(phi)))
+    **(1/(p-2))`` against ``bound``, ``g'(1.01 t1) < 0`` and ``g(t2) < 0``,
+    each sign then holding for every larger t.  Failures are collected, not
+    raised; a tent with ``integral F(phi) = 0`` has ``g_max = inf``.
     """
     eps, dim, p = spec.eps, spec.dim, spec.nonlinearity.p
     # the one kernel apply; ||phi||^2 as bilinear_form forms it
@@ -178,17 +181,18 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray) -> TentThresholds:
     c1 = c_est * m_r1 * m_r1 / (2.0 * sigma * sigma)
     bound = c1 * eps**dim
 
-    g_max = float(np.max(g_of_t(spec, phi,
-                                np.geomspace(1e-6, 10.0 * t2, SCAN_POINTS),
-                                semi=semi)))
-    ts = np.geomspace(1.01 * t1, 10.0 * t2, SCAN_POINTS)
-    failures = [("g_prime_nonnegative", float(t))
-                for t in ts[g_prime(spec, phi, ts, norm_sq=norm_sq) >= 0.0]]
-    ts = np.geomspace(t2, 10.0 * t2, SCAN_POINTS)
-    failures += [("g_nonnegative", float(t))
-                 for t in ts[g_of_t(spec, phi, ts, semi=semi) >= 0.0]]
-    if g_max > bound:
-        failures.append(("g_max_exceeds_bound", float(g_max)))
+    # for the pure power g(t) = t^2 ||phi||^2/2 - t^p big_f, with big_f the
+    # integral of F(phi), so g'(t)/t and g(t)/t^2 strictly decrease in t:
+    # each sign below holds on the whole half-line from its t on, and t_star
+    # is the ray's only critical point
+    big_f = spec.mesh.cell_volume * float(np.sum(F_eval(spec.nonlinearity, phi_i)))
+    t_star = (norm_sq / (p * big_f)) ** (1.0 / (p - 2.0)) if big_f > 0.0 else np.inf
+    g_max = g_of_t(spec, phi, t_star, semi=semi) if big_f > 0.0 else np.inf
+    checks = (("g_prime_nonnegative", 1.01 * t1,
+               g_prime(spec, phi, 1.01 * t1, norm_sq=norm_sq) >= 0.0),
+              ("g_nonnegative", t2, g_of_t(spec, phi, t2, semi=semi) >= 0.0),
+              ("g_max_exceeds_bound", t_star, g_max > bound))
+    failures = [(name, float(t)) for name, t, failed in checks if failed]
 
     return TentThresholds(
         t1=float(t1), t2=float(t2), bound=float(bound), c_est=float(c_est),

@@ -302,7 +302,8 @@ class TestSweepRunner:
         assert sum(outer) - sum(inner) <= 2 * len(cfg.eps_list)
 
     def test_endpoint_applied_once_per_eps(self, tmp_path, monkeypatch):
-        # endpoint certifies e with one apply and hands its terms to the solve
+        # endpoint certifies e with one apply; the solve reads e's terms from
+        # its path's apply, whose last row is e's
         endpoints, applied = [], []
         solve, apply = runners.mountain_pass_solve, operators._graph_laplacian_apply
 

@@ -829,7 +829,8 @@ class TestScalingIdentity:
         scaled = fn.build_interval_mesh(-1.0 / eps, 1.0 / eps, h / eps, 2.0 / eps)
         resid = fn.verify_scaling_identity(mesh, scaled, 0.25, eps,
                                            lambda x: np.cos(np.pi * x[:, 0]))
-        assert resid <= 5.0 * h
+        # the scaled mesh is the exact dilation: the identity holds to roundoff
+        assert resid < 1e-13
 
     def test_constant_profile_exact(self):
         eps = 0.5
