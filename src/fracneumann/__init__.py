@@ -37,7 +37,6 @@ from .mountain_pass import (
     endpoint,
     euler_identity_residual,
     mountain_pass_solve,
-    nonnegativity_certificate,
 )
 from .moser import (
     MoserLadder,

@@ -12,14 +12,13 @@ the incumbent crest point to a critical point, the quadratic-rate endgame that
 plain descent lacks near a saddle.
 
 Certificates attached to a solve:
-  * level positivity against the explicit sphere bound
-    ``delta = rho^2 (a - A rho^(p-2))`` with ``a = SPHERE_A`` and
-    ``A = S^2 eps^(-2s)``, where ``S`` is the constant of the scaled embedding
-    ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``, which the caller passes (the
-    runners pass :func:`~fracneumann.operators.estimate_embedding_constant`);
+  * level positivity against the closed-form floor
+    :attr:`~fracneumann.problem.ProblemSpec.level_floor`
+    ``delta = (1/2 - 1/p) vol``, which every path from 0 to a
+    negative-energy endpoint reaches and every nontrivial critical level
+    clears;
   * nonnegativity: the sweep reports ``min u >= -1e-8 max |u|`` over the
-    domain nodes (:func:`nonnegativity_certificate` returns that minimum and
-    the energy of the negative part, which no runner reads);
+    domain nodes;
   * non-constancy via the ratio of the level to the energy
     ``(1/2 - 1/p) |domain|`` of the constant solution 1, the only positive
     fixed point of f.
@@ -49,18 +48,13 @@ __all__ = [
     "SolveReport",
     "endpoint",
     "mountain_pass_solve",
-    "nonnegativity_certificate",
     "euler_identity_residual",
     "apriori_norm_certificate",
 ]
 
-CONSTANT_CAPTURE_TOL = 1e-8
 SEGMENT_SAMPLES = 7
 FLOW_STALL_WINDOW = 30
 FLOW_MAX_SWEEPS = 2000
-# a = 1/2 - eta of the sphere bound, for the growth bound
-# |f(t)| <= eta t + t**(p-1) with eta = 1/4 (the power model allows any eta >= 0)
-SPHERE_A = 0.5 - 0.25
 NEWTON_MAX_STEPS = 200
 PATH_POINTS = 21
 DESCENT_STEP = 0.5
@@ -100,8 +94,6 @@ class SolveReport:
     grad_tol: float
     delta: float
     level_above_delta: bool
-    constant_capture: bool
-    nonconstancy: float          # std/mean of the interior values
     max_energy_history: np.ndarray = field(repr=False)
 
 
@@ -111,26 +103,12 @@ def endpoint(spec: ProblemSpec, phi: np.ndarray, tent: TentThresholds) -> np.nda
     certificate costs one kernel apply to ``e``."""
     e = tent.t2 * phi
     e_energy = energy(spec, e)
-    if e_energy >= 0.0:
+    if not e_energy < 0.0:
         raise RuntimeError(
             f"endpoint energy {e_energy:.6g} is not negative at t2={tent.t2:.6g}; "
             "threshold certificates are unreliable on this mesh"
         )
     return e
-
-
-def _sphere_bound(spec: ProblemSpec, embedding: float) -> tuple[float, float]:
-    """(rho, delta): radius and energy floor of the mountain-pass sphere, for
-    the constant ``S = embedding`` of ``|u|_q^2 <= S^2 eps^(-2s) ||u||^2``.
-
-    rho is taken at half the zero of ``a - A rho^(p-2)`` so delta stays
-    strictly positive.
-    """
-    p, a = spec.nonlinearity.p, SPHERE_A
-    big_a = embedding**2 * spec.eps ** (-2.0 * spec.s)
-    rho = 0.5 * (a / big_a) ** (1.0 / (p - 2.0))
-    delta = rho**2 * (a - big_a * rho ** (p - 2.0))
-    return rho, delta
 
 
 class _PathState:
@@ -349,7 +327,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
 
 
 def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
-                        sobolev_constant: float) -> SolveReport:
+                        sobolev_constant: float | None = None) -> SolveReport:
     """Deform the segment path from 0 to ``e`` onto a critical point.
 
     Phase one flows the interior points of a ``PATH_POINTS``-point path
@@ -359,28 +337,23 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     construction; it stops after ``FLOW_STALL_WINDOW`` sweeps without a new
     incumbent or at ``FLOW_MAX_SWEEPS``.  Phase two, :func:`_newton_polish`,
     drives the crest's interior values to a critical point and returns their
-    zero-flux extension.  A flow whose last incumbent lies below the sphere
-    bound ``delta`` has crossed the mountain at every sample; it warns and is
-    reported not converged.
+    zero-flux extension.  Every path from 0 to ``e`` crosses the sphere on
+    which the energy is at least ``delta = spec.level_floor``, so a flow
+    whose last incumbent lies below ``delta`` has crossed the mountain at
+    every sample; it warns and is reported not converged.
 
-    ``sobolev_constant`` is the embedding constant ``S`` of the sphere bound.
-    The endpoint's energy, norm and gradient come from the path's kernel
-    apply, whose last row is that of ``e``.
+    ``sobolev_constant`` is read by nothing: it is accepted only for callers
+    that still pass it.  The endpoint's energy and gradient come from the
+    path's kernel apply, whose last row is that of ``e``.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
     state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
-    e_energy, e_norm_sq, e_grad = _point_terms(spec, e, state.lrows[-1])
-    if e_energy >= 0.0:
+    e_energy, _, e_grad = _point_terms(spec, e, state.lrows[-1])
+    if not e_energy < 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
-
-    rho, delta = _sphere_bound(spec, sobolev_constant)
-    e_norm = e_norm_sq ** 0.5
-    if e_norm <= rho:
-        raise RuntimeError(
-            f"endpoint norm {e_norm:.6g} does not clear the sphere radius {rho:.6g}"
-        )
+    delta = spec.level_floor
 
     grad_tol = cfg.grad_tol
     if grad_tol is None:
@@ -411,7 +384,7 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     crossed = bool(incumbent < delta)
     if crossed:
         warnings.warn(f"path flowed through the mountain: last incumbent "
-                      f"{incumbent:.6g} below the sphere bound delta "
+                      f"{incumbent:.6g} below the level floor delta "
                       f"{delta:.6g}", RuntimeWarning, stacklevel=2)
 
     u, newton_steps = _newton_polish(spec, crest_pt, grad_tol)
@@ -420,9 +393,6 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     res = float(np.max(np.abs(grad)))
     converged = bool(res <= grad_tol) and not crossed
     ui = u[:spec.mesh.n_interior]
-    mean = float(np.mean(ui))
-    nonconstancy = float(np.std(ui) / abs(mean)) if mean != 0.0 else np.inf
-    constant_capture = bool(nonconstancy < CONSTANT_CAPTURE_TOL and converged)
 
     return SolveReport(
         u=u,
@@ -440,23 +410,8 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
         grad_tol=float(grad_tol),
         delta=float(delta),
         level_above_delta=bool(level >= delta > 0.0),
-        constant_capture=constant_capture,
-        nonconstancy=nonconstancy,
         max_energy_history=np.asarray(hist),
     )
-
-
-def nonnegativity_certificate(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float]:
-    """(min of u on the domain, energy norm squared of the negative part).
-
-    At a discrete critical point the tested equation forces the energy of
-    ``u_minus = max(-u, 0)`` below ``grad_tol`` times its weighted L1 mass,
-    so a converged solve certifies nonnegativity quantitatively.
-    """
-    ni = spec.mesh.n_interior
-    u_minus = np.maximum(-u, 0.0)
-    neg_energy = bilinear_form(spec.op, u_minus, u_minus)
-    return float(np.min(u[:ni])), float(neg_energy)
 
 
 def euler_identity_residual(spec: ProblemSpec, u: np.ndarray) -> tuple[float, float]:

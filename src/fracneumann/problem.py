@@ -195,6 +195,26 @@ class ProblemSpec:
         """Energy of the constant function mu: ``(mu^2/2 - F(mu)) |domain|``."""
         return (mu * mu / 2.0 - F_eval(self.nonlinearity, mu)) * self.mesh.domain_measure()
 
+    @property
+    def level_floor(self) -> float:
+        """``(1/2 - 1/p) vol``: a floor on the mountain-pass level and on
+        every nontrivial critical level of the discrete problem.
+
+        ``||u||^2 >= vol u_i^2`` at every interior node, so
+        ``|u|_inf^2 <= ||u||^2 / vol`` and
+        ``integral F(u) <= (1/p) |u|_inf^(p-2) ||u||^2``.  Hence:
+
+        * on the sphere ``||u||^2 = vol`` the energy is at least
+          ``(1/2 - 1/p) vol``;
+        * at a critical point ``u != 0`` the Nehari identity
+          ``||u||^2 = p integral F(u)`` gives ``||u||^2 >= vol``, and the
+          level ``(1/2 - 1/p) ||u||^2`` is at least the floor;
+        * ``I(u) < 0`` forces ``||u||^2 > vol (p/2)^(2/(p-2)) > vol``, so
+          every path from 0 to a negative-energy endpoint crosses that
+          sphere.
+        """
+        return (0.5 - 1.0 / self.nonlinearity.p) * self.mesh.cell_volume
+
 
 def _reaction(spec: ProblemSpec, ui: np.ndarray):
     """``vol * sum(u^2/2 - F(u))`` over the last axis of interior values: the

@@ -175,9 +175,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     for eps, phi in zip(cfg.eps_list, phis):
         spec = ProblemSpec(mesh, base.with_eps(eps), nl)
         tent = thresholds(spec, phi)
-        report = mountain_pass_solve(
-            spec, endpoint(spec, phi, tent), mpa,
-            sobolev_constant=estimate_embedding_constant(spec.op))
+        report = mountain_pass_solve(spec, endpoint(spec, phi, tent), mpa)
 
         specs.append(spec)
         reports.append(report)
@@ -238,6 +236,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
         "constant_solution_energy": float(specs[0].constant_energy(1.0)),
         "smallest_eps_level_vs_constant": reports[-1].energy_vs_constant,
         "nonnegativity_ok": nonneg_ok,
+        "level_floor": specs[0].level_floor,
         "level_positivity_ok": positivity,
         "apriori_norm_ok": apriori,
         "certificates_ok": certificates_ok,

@@ -188,10 +188,11 @@ def thresholds(spec: ProblemSpec, phi: np.ndarray) -> TentThresholds:
     big_f = spec.mesh.cell_volume * float(np.sum(F_eval(spec.nonlinearity, phi_i)))
     t_star = (norm_sq / (p * big_f)) ** (1.0 / (p - 2.0)) if big_f > 0.0 else np.inf
     g_max = g_of_t(spec, phi, t_star, semi=semi) if big_f > 0.0 else np.inf
+    # written to fail on a nan, as an overflowing ray gives for p near 2
     checks = (("g_prime_nonnegative", 1.01 * t1,
-               g_prime(spec, phi, 1.01 * t1, norm_sq=norm_sq) >= 0.0),
-              ("g_nonnegative", t2, g_of_t(spec, phi, t2, semi=semi) >= 0.0),
-              ("g_max_exceeds_bound", t_star, g_max > bound))
+               not g_prime(spec, phi, 1.01 * t1, norm_sq=norm_sq) < 0.0),
+              ("g_nonnegative", t2, not g_of_t(spec, phi, t2, semi=semi) < 0.0),
+              ("g_max_exceeds_bound", t_star, not g_max <= bound))
     failures = [(name, float(t)) for name, t, failed in checks if failed]
 
     return TentThresholds(

@@ -43,13 +43,12 @@ def solved_problem():
     phi = fn.phi_eps(mesh, 0.1)
     tent = fn.thresholds(spec, phi)
     e = fn.endpoint(spec, phi, tent)
-    sobolev = fn.estimate_sobolev_constant(op)
     embedding = fn.estimate_embedding_constant(op)
     cfg = fn.MPAConfig(grad_tol=1e-9)
-    report = fn.mountain_pass_solve(spec, e, cfg, sobolev_constant=sobolev)
+    report = fn.mountain_pass_solve(spec, e, cfg)
     assert report.converged
     return {"spec": spec, "report": report, "tent": tent, "phi": phi,
-            "endpoint": e, "sobolev": sobolev, "embedding": embedding}
+            "endpoint": e, "embedding": embedding}
 
 
 def dense_weights(op):

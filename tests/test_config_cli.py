@@ -15,7 +15,6 @@ import fracneumann as fn
 from fracneumann import moser, mountain_pass, operators, problem, runners
 from fracneumann.cli import main
 from fracneumann.config import ConfigError, load_config, parse_config
-from fracneumann.mountain_pass import _sphere_bound
 from fracneumann.reports import _fmt, read_solution, write_solution
 from fracneumann.runners import run_identity_suite, run_moser_check, run_scaling_sweep
 
@@ -363,15 +362,20 @@ class TestSweepRunner:
             monkeypatch.setattr(module, "_reduced_matrix", recorded)
         cfg = parse_config(QUICK_SWEEP)
         run_scaling_sweep(cfg, tmp_path)
-        # embedding estimate and Newton endgame, per eps: one array
-        assert len(returned) == 2 * len(cfg.eps_list)
+        # the Newton endgame, once per eps: one array
+        assert len(returned) == len(cfg.eps_list)
         assert all(m is returned[0] for m in returned)
 
-    def test_sphere_bound_uses_the_embedding_constant(self, tmp_path):
-        result = run_scaling_sweep(parse_config(QUICK_SWEEP), tmp_path)
+    def test_delta_is_the_level_floor(self, tmp_path):
+        cfg = parse_config(QUICK_SWEEP)
+        result = run_scaling_sweep(cfg, tmp_path)
+        floor = (0.5 - 1.0 / cfg.p) * result.specs[0].mesh.cell_volume
+        assert result.summary["level_floor"] == floor
         for spec, rep in zip(result.specs, result.reports):
-            want = _sphere_bound(spec, fn.estimate_embedding_constant(spec.op))[1]
-            assert rep.delta == want
+            assert spec.level_floor == rep.delta == floor
+            assert rep.level_above_delta
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["level_floor"] == floor and summary["level_positivity_ok"]
 
     def test_solve_runs_no_hypothesis_screen(self, tmp_path, monkeypatch):
         # the constant-solution energy is in closed form, so no solve needs
@@ -423,9 +427,9 @@ class TestSweepRunner:
         assert "eps=1.5 too large" in capsys.readouterr().err
         assert list(out.iterdir()) == [] and calls == []
 
-    def test_one_embedding_estimate_per_eps(self, tmp_path, monkeypatch):
-        # the runner decides which S the certificates use, once per eps;
-        # the solver modules no longer bind the estimator
+    def test_only_moser_estimates_the_embedding_constant(self, tmp_path,
+                                                          monkeypatch):
+        # the sweep's floor needs no S; moser's chain estimates it once
         calls = []
         estimate = operators.estimate_embedding_constant
 
@@ -433,13 +437,13 @@ class TestSweepRunner:
             calls.append(op.eps)
             return estimate(op)
 
-        monkeypatch.setattr(runners, "estimate_embedding_constant", spy)
-        for module in (mountain_pass, moser):
+        for module in (fn, operators, runners):
+            monkeypatch.setattr(module, "estimate_embedding_constant", spy)
+        for module in (mountain_pass, moser, problem):
             assert not hasattr(module, "estimate_embedding_constant")
         cfg = load_config(CONFIGS[0].parent / "quick_1d.cfg")
         assert run_scaling_sweep(cfg, tmp_path / "sweep").certificates_ok
-        assert calls == cfg.eps_list
-        calls.clear()
+        assert calls == []
         assert run_moser_check(cfg, tmp_path / "sweep" / "solution_eps_0.15.txt",
                                tmp_path / "moser")
         assert calls == [0.15]

@@ -9,8 +9,8 @@ import fracneumann as fn
 from fracneumann import moser, mountain_pass
 from fracneumann.mountain_pass import (DESCENT_STEP, NEWTON_MAX_STEPS,
                                        PATH_POINTS, SEGMENT_SAMPLES,
-                                       SPHERE_A, _interior_map, _newton_polish,
-                                       _PathState, _sphere_bound)
+                                       _interior_map, _newton_polish,
+                                       _PathState)
 from fracneumann.operators import _graph_laplacian_apply, _reduced_matrix
 from fracneumann.problem import _reaction, f_eval, fprime_eval
 
@@ -26,10 +26,17 @@ class TestEndpoint:
         assert np.all(solved_problem["endpoint"] >= 0.0)
 
     def test_clears_sphere_radius(self, solved_problem):
+        # negative energy puts e beyond the level floor's sphere ||u||^2 = vol
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
-        rho, delta = _sphere_bound(spec, solved_problem["sobolev"])
-        assert delta > 0.0
-        assert fn.bilinear_form(spec.op, e, e) ** 0.5 > rho
+        p, vol = spec.nonlinearity.p, spec.mesh.cell_volume
+        assert fn.bilinear_form(spec.op, e, e) > vol * (p / 2.0) ** (2.0 / (p - 2.0)) > vol
+
+    def test_rejects_an_endpoint_of_undefined_energy(self, solved_problem):
+        # at t2 = 1e200 the energy is inf - inf
+        tent = dataclasses.replace(solved_problem["tent"], t2=1e200)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(RuntimeError, match="energy nan is not negative"):
+            fn.endpoint(solved_problem["spec"], solved_problem["phi"], tent)
 
     def test_rejects_a_tent_whose_endpoint_energy_is_positive(self, solved_problem):
         tent = dataclasses.replace(solved_problem["tent"], t2=1e-3)
@@ -225,6 +232,19 @@ class TestFlowStep:
         assert state.kernel_rows == sum(counts)
 
 
+def _negative_endpoint(spec, seed, bump):
+    """A positive endpoint, doubled until its energy is negative (at most 43
+    doublings in 1,000 draws)."""
+    rng = np.random.default_rng(seed)
+    e = 1.0 + bump * np.abs(rng.standard_normal(spec.mesh.n_total))
+    for _ in range(64):
+        if fn.energy(spec, e) < 0.0:
+            break
+        e = 2.0 * e
+    assume(fn.energy(spec, e) < 0.0)
+    return e
+
+
 class TestSolve:
     def test_converged_contract(self, solved_problem):
         rep = solved_problem["report"]
@@ -232,7 +252,8 @@ class TestSolve:
         assert rep.residual <= rep.grad_tol
 
     def test_level_positive_above_delta(self, solved_problem):
-        rep = solved_problem["report"]
+        spec, rep = solved_problem["spec"], solved_problem["report"]
+        assert rep.delta == spec.level_floor
         assert rep.level >= rep.delta > 0.0
         assert rep.level_above_delta
 
@@ -245,20 +266,10 @@ class TestSolve:
            bump=st.floats(0.0, 2.0))
     def test_incumbent_history_nonincreasing_on_random_problems(self, spec,
                                                                 seed, bump):
-        # a positive endpoint, doubled until its energy is negative (at most
-        # 43 doublings in 1,000 draws)
-        rng = np.random.default_rng(seed)
-        e = 1.0 + bump * np.abs(rng.standard_normal(spec.mesh.n_total))
-        for _ in range(64):
-            if fn.energy(spec, e) < 0.0:
-                break
-            e = 2.0 * e
-        assume(fn.energy(spec, e) < 0.0)
+        e = _negative_endpoint(spec, seed, bump)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = fn.mountain_pass_solve(
-                spec, e, fn.MPAConfig(),
-                sobolev_constant=fn.estimate_embedding_constant(spec.op))
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
         hist = rep.max_energy_history
         assert len(hist) == rep.flow_sweeps > 0
         assert np.all(np.diff(hist) <= 0.0)
@@ -267,20 +278,12 @@ class TestSolve:
     @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
            bump=st.floats(0.0, 2.0))
     def test_not_converged_after_crossing_the_mountain(self, spec, seed, bump):
-        # endpoints as above; a last incumbent below delta means every path
-        # sample has flowed through the mountain
-        rng = np.random.default_rng(seed)
-        e = 1.0 + bump * np.abs(rng.standard_normal(spec.mesh.n_total))
-        for _ in range(64):
-            if fn.energy(spec, e) < 0.0:
-                break
-            e = 2.0 * e
-        assume(fn.energy(spec, e) < 0.0)
+        # a last incumbent below delta means every path sample has flowed
+        # through the mountain
+        e = _negative_endpoint(spec, seed, bump)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            rep = fn.mountain_pass_solve(
-                spec, e, fn.MPAConfig(),
-                sobolev_constant=fn.estimate_embedding_constant(spec.op))
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
         crossed = rep.max_energy_history[-1] < rep.delta
         named = [str(w.message) for w in caught
                  if "through the mountain" in str(w.message)]
@@ -288,17 +291,33 @@ class TestSolve:
         if crossed:
             assert not rep.converged
 
-    def test_warns_when_the_incumbent_falls_below_delta(self, solved_problem):
-        # an embedding constant that puts the sphere at half the endpoint
-        # norm: delta then lies far above the mountain-pass level
+    @settings(max_examples=30, deadline=None)
+    @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
+           bump=st.floats(0.0, 2.0))
+    def test_converged_level_clears_the_floor(self, spec, seed, bump):
+        # an absolute tolerance: the auto one grows with the endpoint, which
+        # the doublings can make huge
+        e = _negative_endpoint(spec, seed, bump)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-8))
+        assume(rep.converged)
+        # only the constant 1 on a one-node mesh attains the floor; there a
+        # residual r leaves the level p r^2/(p-2)^2 of the floor below it, to
+        # leading order, and u^2/2 - u^p/p = (p-2)/(2p) at u = 1 cancels
+        # p/(p-2) times the roundoff of its terms
+        p, r = spec.nonlinearity.p, rep.residual
+        slack = 2.0 * p * r**2 / (p - 2.0) ** 2 + 1e-14 * p / (p - 2.0)
+        assert rep.level >= spec.level_floor * (1.0 - slack)
+
+    def test_warns_when_the_incumbent_falls_below_delta(self, solved_problem,
+                                                         monkeypatch):
+        # a floor far above the mountain-pass level
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
-        a = SPHERE_A
-        rho = 0.25 * fn.bilinear_form(spec.op, e, e) ** 0.5
-        s_const = (0.5 * a / rho * spec.eps ** (2.0 * spec.s)) ** 0.5  # p = 3
-        _, delta = _sphere_bound(spec, s_const)
+        delta = 10.0 * solved_problem["report"].level
+        monkeypatch.setattr(fn.ProblemSpec, "level_floor", delta)
         with pytest.warns(RuntimeWarning, match="through the mountain") as rec:
-            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
-                                         sobolev_constant=s_const)
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9))
         incumbent = rep.max_energy_history[-1]
         assert incumbent < rep.delta == delta
         message, = [str(w.message) for w in rec
@@ -311,9 +330,9 @@ class TestSolve:
         assert rep.level <= rep.max_energy_history[-1] + 1e-12
 
     def test_nonconstant_spike(self, solved_problem):
-        rep = solved_problem["report"]
-        assert not rep.constant_capture
-        assert rep.nonconstancy > 1e-3
+        spec, rep = solved_problem["spec"], solved_problem["report"]
+        ui = rep.u[:spec.mesh.n_interior]
+        assert np.std(ui) / abs(np.mean(ui)) > 1e-3
         assert rep.energy_vs_constant < 1.0
 
     def test_nearly_nonnegative(self, solved_problem):
@@ -324,9 +343,8 @@ class TestSolve:
         spec = solved_problem["spec"]
         e = solved_problem["endpoint"]
         cfg = fn.MPAConfig(grad_tol=1e-9)
-        s = solved_problem["sobolev"]
-        a = fn.mountain_pass_solve(spec, e, cfg, sobolev_constant=s)
-        b = fn.mountain_pass_solve(spec, e, cfg, sobolev_constant=s)
+        a = fn.mountain_pass_solve(spec, e, cfg)
+        b = fn.mountain_pass_solve(spec, e, cfg)
         assert a.level == b.level
         assert a.iterations == b.iterations
         assert np.array_equal(a.u, b.u)
@@ -340,25 +358,33 @@ class TestSolve:
         spec = solved_problem["spec"]
         bad = 0.01 * solved_problem["phi"]
         with pytest.raises(ValueError, match="negative energy"):
-            fn.mountain_pass_solve(spec, bad, fn.MPAConfig(),
-                                   sobolev_constant=solved_problem["sobolev"])
+            fn.mountain_pass_solve(spec, bad, fn.MPAConfig())
+
+    def test_rejects_an_endpoint_of_undefined_energy(self, solved_problem):
+        spec = solved_problem["spec"]
+        bad = 1e200 * solved_problem["endpoint"]
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="negative energy, got nan"):
+            fn.mountain_pass_solve(spec, bad, fn.MPAConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="grad_tol"):
             fn.MPAConfig(grad_tol=-1.0)
 
-    def test_sphere_radius_failure_is_numerical(self, solved_problem):
-        # rho ~ 5e10 against an endpoint norm ~ 10: a failed certificate
+    def test_sobolev_constant_is_not_read(self, solved_problem):
+        # an absurd constant changes nothing: the floor needs no embedding
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
-        with pytest.raises(RuntimeError, match="sphere radius"):
-            fn.mountain_pass_solve(spec, e, fn.MPAConfig(), sobolev_constant=1e-6)
+        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
+                                     sobolev_constant=1e-6)
+        want = solved_problem["report"]
+        assert rep.level == want.level and rep.delta == want.delta
+        assert np.array_equal(rep.u, want.u)
 
     def test_flow_warns_at_its_cap(self, solved_problem, monkeypatch):
         monkeypatch.setattr(mountain_pass, "FLOW_MAX_SWEEPS", 3)
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
         with pytest.warns(RuntimeWarning, match="path flow hit the iteration cap of 3"):
-            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
-                                         sobolev_constant=solved_problem["sobolev"])
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9))
         assert len(rep.max_energy_history) == 3
 
     def test_auto_tolerance_scales_with_endpoint(self, solved_problem):
@@ -366,8 +392,7 @@ class TestSolve:
         # last row matches the single apply of e up to its last bits
         spec = solved_problem["spec"]
         e = solved_problem["endpoint"]
-        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(),
-                                     sobolev_constant=solved_problem["sobolev"])
+        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
         want = 1e-8 * float(np.max(np.abs(fn.energy_gradient(spec, e))))
         assert rep.grad_tol == pytest.approx(want, rel=1e-12)
         assert rep.converged
@@ -424,8 +449,7 @@ def solved_square():
     spec = fn.ProblemSpec(mesh, op, fn.power_nonlinearity(3.0))
     phi = fn.phi_eps(mesh, 0.3)
     e = fn.endpoint(spec, phi, fn.thresholds(spec, phi))
-    rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
-                                 sobolev_constant=fn.estimate_sobolev_constant(op))
+    rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9))
     assert rep.converged
     return {"spec": spec, "report": rep}
 
@@ -549,13 +573,12 @@ class TestTwoDimensional:
         tent = fn.thresholds(spec, phi)
         assert tent.scan_ok, tent.failures
         e = fn.endpoint(spec, phi, tent)
-        sobolev = fn.estimate_sobolev_constant(op)
-        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9),
-                                     sobolev_constant=sobolev)
+        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9))
         assert rep.converged
         assert rep.level >= rep.delta > 0.0
         assert rep.min_u >= -1e-8 * float(np.max(np.abs(rep.u)))
-        assert not rep.constant_capture
+        ui = rep.u[:mesh.n_interior]
+        assert np.std(ui) / abs(np.mean(ui)) > 1e-3
 
         monkeypatch.setattr(moser, "LADDER_LEVELS", 10)
         ladder = fn.norm_ladder(spec, rep.u)
@@ -570,24 +593,13 @@ class TestTwoDimensional:
 
 
 class TestNonnegativityCertificate:
-    def test_nonnegative_input_exact_zero(self, solved_problem):
-        spec = solved_problem["spec"]
-        u = np.abs(np.random.default_rng(0).standard_normal(spec.mesh.n_total))
-        min_u, neg = fn.nonnegativity_certificate(spec, u)
-        assert neg == 0.0
-        assert min_u >= 0.0
-
-    def test_detects_negative_bump(self, solved_problem):
-        spec, phi = solved_problem["spec"], solved_problem["phi"]
-        min_u, neg = fn.nonnegativity_certificate(spec, -phi)
-        assert min_u < 0.0
-        assert neg == pytest.approx(fn.bilinear_form(spec.op, phi, phi), rel=1e-12)
-
     def test_converged_solution_certified(self, solved_problem):
+        # testing the equation with u_minus bounds its energy by grad_tol
+        # times its weighted L1 mass
         spec, rep = solved_problem["spec"], solved_problem["report"]
         vol = spec.mesh.cell_volume
         u_minus = np.maximum(-rep.u, 0.0)
-        _, neg = fn.nonnegativity_certificate(spec, rep.u)
+        neg = fn.bilinear_form(spec.op, u_minus, u_minus)
         scale = vol * float(np.sum(u_minus))
         assert neg <= rep.grad_tol * max(scale, 1e-30)
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fracneumann as fn
 from fracneumann.problem import _bisect, fprime_eval
 
-from conftest import random_grid_function
+from conftest import energy_scale, random_grid_function, small_problems
 
 
 def central_difference_derivative(spec, u, v, delta):
@@ -97,6 +97,54 @@ class TestProblemSpec:
     def test_constant_energy_value(self, spec_1d):
         # (1/2 - 1/3) * |domain| with the cubic model, any eps
         assert spec_1d.constant_energy(1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+@st.composite
+def problems_and_functions(draw):
+    """A :func:`small_problems` spec and a grid function on its mesh: a
+    Gaussian draw, its absolute value, or a one-hot interior spike plus a
+    1e-3 draw, where the floor's inequalities are nearly tight."""
+    spec = draw(small_problems())
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        spec.mesh.n_total)
+    kind = draw(st.sampled_from(["normal", "positive", "spike"]))
+    if kind == "positive":
+        u = np.abs(u)
+    elif kind == "spike":
+        u *= 1e-3
+        u[draw(st.integers(0, spec.mesh.n_interior - 1))] += 1.0
+    return spec, u
+
+
+class TestLevelFloor:
+    def test_value(self, spec_1d):
+        # (1/2 - 1/3) * h with the cubic model, any eps
+        assert spec_1d.level_floor == (0.5 - 1.0 / 3.0) * 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=problems_and_functions(), stretch=st.floats(1e-4, 100.0))
+    def test_negative_energy_lies_beyond_the_sphere(self, case, stretch):
+        # the ray energy t^2 ||u||^2/2 - t^p integral F(u) is negative past
+        # its zero t0
+        spec, u = case
+        p, vol = spec.nonlinearity.p, spec.mesh.cell_volume
+        big_f = vol * float(np.sum(fn.F_eval(spec.nonlinearity, u[:spec.mesh.n_interior])))
+        assume(big_f > 0.0)
+        log_t0 = np.log(p * fn.bilinear_form(spec.op, u, u) / (2.0 * big_f)) / (p - 2.0)
+        # for p near 2, t0 can pass the range where |w|^2 is finite
+        assume(log_t0 + np.log((1.0 + stretch) * np.max(np.abs(u))) < np.log(1e100))
+        w = (1.0 + stretch) * np.exp(log_t0) * u
+        assert fn.energy(spec, w) < 0.0
+        assert fn.bilinear_form(spec.op, w, w) > vol * (p / 2.0) ** (2.0 / (p - 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=problems_and_functions())
+    def test_energy_on_the_sphere_clears_the_floor(self, case):
+        spec, u = case
+        vol = spec.mesh.cell_volume
+        w = u * (vol / fn.bilinear_form(spec.op, u, u)) ** 0.5
+        assert fn.bilinear_form(spec.op, w, w) == pytest.approx(vol, rel=1e-12)
+        assert fn.energy(spec, w) >= spec.level_floor - 1e-12 * energy_scale(spec, w)
 
 
 class TestEnergy:

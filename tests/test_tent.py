@@ -292,6 +292,19 @@ class TestThresholds:
                                        "g_nonnegative": tent.t2,
                                        "g_max_exceeds_bound": np.inf}
 
+    def test_overflowing_ray_fails_its_sign_check(self):
+        # at p = 2.005, t2 ~ 2e167 and g(t2) is inf - inf: a nan, which
+        # must not pass for a negative energy
+        mesh = fn.build_interval_mesh(-1.0, 1.0, 0.1, 2.5)
+        spec = fn.ProblemSpec(mesh, fn.assemble(mesh, 0.25, 0.5),
+                              fn.power_nonlinearity(2.005))
+        phi = fn.phi_eps(mesh, 0.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            tent = fn.thresholds(spec, phi)
+            assert np.isnan(fn.g_of_t(spec, phi, tent.t2))
+        assert not tent.scan_ok
+        assert tent.failures == [("g_nonnegative", tent.t2)]
+
     def test_tent_energy_scaling(self):
         # eps^N ||phi_eps||^2 stays within a factor 2 between consecutive
         # halvings and a factor 4 across the sweep
