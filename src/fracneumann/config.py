@@ -45,7 +45,7 @@ class RunConfig:
     eps: float | None = None
     eps_list: list[float] = field(default_factory=list)
     p: float = 3.0
-    grad_tol: float | None = None
+    grad_tol: float = 1e-8
     seed: int = 0
     config_sha256: str = ""
 
@@ -145,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
         if clash := [x for x, name in zip(items, names) if names.count(name) > 1]:
             raise ConfigError(f"eps_list values {', '.join(clash)} would write the "
                               "same output files: give distinct eps values")
-    if "solver.grad_tol" in pairs and pairs["solver.grad_tol"].lower() != "auto":
+    if "solver.grad_tol" in pairs:
         cfg.grad_tol = _parse_float("solver.grad_tol", pairs["solver.grad_tol"])
     if "seed" in pairs:
         cfg.seed = _parse_int("seed", pairs["seed"])
@@ -178,7 +178,7 @@ def _validate(cfg: RunConfig) -> None:
     for value in ([cfg.eps] if cfg.eps is not None else []) + cfg.eps_list:
         if value <= 0.0:
             raise ConfigError(f"eps values must be positive, got {value}")
-    if cfg.grad_tol is not None and cfg.grad_tol <= 0.0:
+    if cfg.grad_tol <= 0.0:
         raise ConfigError(f"solver.grad_tol must be positive, got {cfg.grad_tol}")
 
 

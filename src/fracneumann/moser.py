@@ -143,27 +143,24 @@ def norm_ladder(spec: ProblemSpec, u: np.ndarray) -> MoserLadder:
     ui = np.abs(u[:ni])
     actual_max = float(np.max(ui)) if ni else 0.0
 
-    qstar = spec.two_star
-    ratio = qstar / 2.0
-    beta = ratio ** np.arange(LADDER_LEVELS)
-    q_up = qstar * beta
+    # q* beta_n = 2 beta_{n+1}: each level's upper exponent is the next
+    # level's lower one, so the norms are taken once, one level past the last
+    beta = (spec.two_star / 2.0) ** np.arange(LADDER_LEVELS + 1)
+    q = 2.0 * beta
+    n_used = LADDER_LEVELS
     if actual_max > 1.0:
         q_cap = MAX_POWER_EXPONENT / np.log(actual_max)
-        keep = q_up <= q_cap
-        if not np.all(keep):
-            n_used = int(np.sum(keep))
+        n_used = int(np.sum(q[1:] <= q_cap))
+        if n_used < LADDER_LEVELS:
             warnings.warn(
                 f"norm ladder capped at {n_used} of {LADDER_LEVELS} levels: "
                 f"|u|max**q would overflow beyond q={q_cap:.3g}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            beta, q_up = beta[keep], q_up[keep]
-    n_used = beta.size
-    q_lo = 2.0 * beta
-
-    norms_lo = np.array([_lq_norm(ui, vol, q) for q in q_lo])
-    norms_up = np.array([_lq_norm(ui, vol, q) for q in q_up])
+    norms = np.array([_lq_norm(ui, vol, x) for x in q[:n_used + 1]])
+    beta, q_lo, q_up = beta[:n_used], q[:n_used], q[1:n_used + 1]
+    norms_lo, norms_up = norms[:-1], norms[1:]
 
     k_fit = 1.0
     if actual_max > 0.0:

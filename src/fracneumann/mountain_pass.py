@@ -26,6 +26,7 @@ Certificates attached to a solve:
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,17 +63,13 @@ DESCENT_STEP = 0.5
 
 @dataclass(frozen=True)
 class MPAConfig:
-    """Tolerance of the path-deformation solver.
+    """Absolute sup-norm residual tolerance of the path-deformation solver."""
 
-    ``grad_tol=None`` resolves to ``1e-8`` times the sup norm of the energy
-    gradient at the path endpoint (the problem scale).
-    """
-
-    grad_tol: float | None = None
+    grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.grad_tol is not None and not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not (isinstance(self.grad_tol, numbers.Real) and self.grad_tol > 0.0):
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -286,7 +283,7 @@ def _newton_polish(spec: ProblemSpec, u0: np.ndarray,
     op, ni = spec.op, spec.mesh.n_interior
     scale = spec.eps ** (2.0 * op.s) / spec.mesh.cell_volume
     # the diagonal takes the full row sums, as F does
-    m = _reduced_matrix(op)[0]
+    m = _reduced_matrix(op)
     hess = np.multiply(m, -scale)
     diag = hess.ravel()[:: ni + 1]  # a view: writes reach hess
     kernel_diag = scale * (op.row_sums[:ni] - np.diag(m))
@@ -340,24 +337,22 @@ def mountain_pass_solve(spec: ProblemSpec, e: np.ndarray, cfg: MPAConfig, *,
     zero-flux extension.  Every path from 0 to ``e`` crosses the sphere on
     which the energy is at least ``delta = spec.level_floor``, so a flow
     whose last incumbent lies below ``delta`` has crossed the mountain at
-    every sample; it warns and is reported not converged.
+    every sample; it warns and is reported not converged.  The solve has
+    converged when the sup-norm residual of the solution is at most
+    ``cfg.grad_tol``, an absolute tolerance, whatever the scale of ``e``.
 
     ``sobolev_constant`` is read by nothing: it is accepted only for callers
-    that still pass it.  The endpoint's energy and gradient come from the
-    path's kernel apply, whose last row is that of ``e``.
+    that still pass it.  The endpoint's energy, whose sign is checked, comes
+    from the path's kernel apply, whose last row is that of ``e``.
     """
     op = spec.op
     if e.shape != (op.n_total,):
         raise ValueError(f"endpoint has shape {e.shape}, mesh has {op.n_total} nodes")
     state = _PathState(spec, np.linspace(0.0, 1.0, PATH_POINTS)[:, None] * e[None, :])
-    e_energy, _, e_grad = _point_terms(spec, e, state.lrows[-1])
+    e_energy = _point_terms(spec, e, state.lrows[-1])[0]
     if not e_energy < 0.0:
         raise ValueError(f"endpoint must have negative energy, got {e_energy:.6g}")
-    delta = spec.level_floor
-
-    grad_tol = cfg.grad_tol
-    if grad_tol is None:
-        grad_tol = 1e-8 * float(np.max(np.abs(e_grad)))
+    delta, grad_tol = spec.level_floor, cfg.grad_tol
 
     incumbent = np.inf
     crest_pt = state.path[PATH_POINTS // 2].copy()
@@ -427,26 +422,29 @@ def _euler_terms(spec: ProblemSpec, u: np.ndarray, norm_sq: float):
     return abs(norm_sq - rhs), max(abs(norm_sq), abs(rhs))
 
 
-def apriori_norm_certificate(specs, reports) -> bool:
-    """Uniform norm bound across a sweep, with a single fitted constant.
+def apriori_norm_certificate(specs, reports, tents) -> bool:
+    """Uniform norm bound across a sweep, with its constant from the tents.
 
     Checks per solution that ``||u||^2 = integral f(u) u`` holds within
-    ``10 * grad_tol * scale``, fits ``K0 = factor * C_fit`` with
-    ``factor = 1 / (1/2 - 1/p)`` and ``C_fit`` the largest
-    ``level / eps**dim`` over the sweep, and verifies
-    ``||u||^2 <= K0 eps**dim + (factor/p) resid`` for every entry, with
-    ``resid`` the residual of that identity.  ``p F = t f`` gives
-    ``||u||^2 <= factor level + (factor/p) resid``, so the entry with
-    the largest level ratio meets the bound with equality up to that slack.
+    ``10 * grad_tol * scale``, and that
+    ``||u||^2 <= K0 eps**dim + (factor/p) resid``, with ``resid`` the
+    residual of that identity, ``factor = 1 / (1/2 - 1/p)`` and
+    ``K0 = factor * max(g_max / eps**dim)`` over the sweep's
+    :class:`~fracneumann.tent.TentThresholds` ``tents``.  ``p F = t f``
+    gives ``||u||^2 <= factor level + (factor/p) resid``, so the bound holds
+    for every solution whose level is at most the mountain-pass bound
+    ``max_t I(t phi_eps) = g_max``; a tent without a finite ``g_max`` fails.
 
-    Takes parallel sequences of specs and their reports.
+    Takes parallel sequences of specs, their reports and their tents.
     """
-    if len(specs) != len(reports) or not specs:
-        raise ValueError("need one report per problem spec")
+    if not len(specs) == len(reports) == len(tents) or not specs:
+        raise ValueError("need one report and one tent per problem spec")
     p = specs[0].nonlinearity.p
     factor = 1.0 / (0.5 - 1.0 / p)
-    c_fit = max(r.level / sp.eps**sp.dim for sp, r in zip(specs, reports))
-    k0 = factor * c_fit
+    ratios = [t.g_max / sp.eps**sp.dim for sp, t in zip(specs, tents)]
+    if not np.all(np.isfinite(ratios)):
+        return False
+    k0 = factor * max(ratios)
     for sp, rep in zip(specs, reports):
         resid, scale = _euler_terms(sp, rep.u, rep.norm_sq)
         if resid > 10.0 * rep.grad_tol * max(scale, 1.0):

@@ -363,10 +363,10 @@ def check_identities(op: FormOperator, uv: np.ndarray) -> tuple:
              total(np.abs(v) * afl[..., 0, :])))
 
 
-def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Interior weights ``W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
+def _reduced_matrix(op: FormOperator) -> np.ndarray:
+    """Interior weights ``M = W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
     form over collar values (the zero-flux extension; the collar block is
-    diagonal), and its row sums, which equal ``op.row_sums[:ni]``.
+    diagonal).  Its row sums equal ``op.row_sums[:ni]``, which its users read.
 
     Formed on first use from :func:`_pair_weights`, 256 collar columns of
     ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``.
@@ -384,10 +384,9 @@ def _reduced_matrix(op: FormOperator) -> tuple[np.ndarray, np.ndarray]:
             b /= np.sqrt(de[k:k + 256])
             m += b @ b.T
         m += m[::-1, ::-1]
-        d = m @ np.ones(ni)
-        m.flags.writeable = d.flags.writeable = False
-        op.reduced.extend([m, d])
-    return tuple(op.reduced)
+        m.flags.writeable = False
+        op.reduced.append(m)
+    return op.reduced[0]
 
 
 def _regional(mesh: DomainMesh, s: float):
@@ -502,14 +501,15 @@ def estimate_embedding_constant(op: FormOperator) -> float:
     the maximizer's :func:`exterior_extension`.
     """
     q = critical_exponent(op.mesh.dim, op.s)
-    m, d = _reduced_matrix(op)
+    m = _reduced_matrix(op)
     vol = op.mesh.cell_volume
     e2s = op.eps ** (2.0 * op.s)
     r = np.linalg.norm(op.mesh.interior_nodes, axis=1)
     u = 1.0 + np.cos(np.pi * np.clip(r / max(r.max(), 1e-300), 0.0, 1.0))
     if not u.any():  # every node at the largest radius: the bump vanishes
         u += 1.0
-    b_diag = d + vol / e2s  # B v = b_diag v - M v: a mass term, no centring
+    # B v = b_diag v - M v, M's row sums from op.row_sums: a mass term, no centring
+    b_diag = op.row_sums[:op.n_interior] + vol / e2s
     _, u = _ascend(lambda v: b_diag * v - m @ v,
                    lambda v: v, q, vol, u, EMBEDDING_MAX_ITER, EMBEDDING_RTOL,
                    "embedding quotient maximization")

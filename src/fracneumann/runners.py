@@ -222,7 +222,7 @@ def run_scaling_sweep(cfg: RunConfig, out_dir: str | Path) -> SweepResult:
     )
     positivity = all(r.level_above_delta for r in reports)
     tent_ok = all(t.scan_ok for t in tents)
-    apriori = apriori_norm_certificate(specs, reports) if all_converged else False
+    apriori = all_converged and apriori_norm_certificate(specs, reports, tents)
     certificates_ok = (all_converged and nonneg_ok and positivity
                        and tent_ok and apriori)
 
@@ -273,7 +273,7 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     spec = ProblemSpec(mesh, op, cfg.nonlinearity())
 
     ladder = norm_ladder(spec, u)
-    grad_tol = header.get("grad_tol", cfg.grad_tol or 1e-8)
+    grad_tol = header.get("grad_tol", cfg.grad_tol)
     embedding = estimate_embedding_constant(op)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
     cacc = [verify_caccioppoli_step(spec, u, alpha, m_factor * umax,

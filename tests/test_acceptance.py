@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import fracneumann as fn
 from fracneumann.config import load_config
@@ -65,6 +64,8 @@ def test_criterion_1_identity_suite(reference_meshes):
 
 
 def test_criterion_2_operator_accuracy():
+    quad = pytest.importorskip("scipy.integrate").quad
+
     def oracle(u, xstar, lo, hi, s, c_ns):
         def one_side(extent, sign):
             def integrand(rho):
@@ -171,13 +172,14 @@ def test_criterion_6_corollary_bound(reference_sweep):
         identity_ok = identity_ok and resid <= 10.0 * rep.grad_tol * max(scale, 1.0)
     norm_ratios = [r.norm_sq / sp.eps**dim for r, sp in zip(res.reports, res.specs)]
     ratio = max(norm_ratios) / min(norm_ratios)
-    fitted = fn.apriori_norm_certificate(res.specs, res.reports)
-    ok = identity_ok and ratio <= 4.0 and fitted
+    bound_ok = fn.apriori_norm_certificate(res.specs, res.reports, res.tents)
+    ok = identity_ok and ratio <= 4.0 and bound_ok
     report(6, "critical-point norm identity and uniform norm/eps^N bound",
-           ok, f"norm ratio {ratio:.2f}, fitted K0 certificate {fitted}")
+           ok, f"norm ratio {ratio:.2f}, tent K0 certificate {bound_ok}")
 
 
 def test_criterion_7_moser_machinery(reference_sweep):
+    quad = pytest.importorskip("scipy.integrate").quad
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     n = 100_000

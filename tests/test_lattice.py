@@ -217,9 +217,8 @@ class TestLatticeForm:
         flux = fn.neumann_derivative(lat, ext)
         assert np.all(np.abs(flux) <= 1e-12 * 2.0 * lat.row_sums.max() / vol * scale)
 
-        (m_lat, d_lat), (m, d) = _reduced_matrix(lat), _reduced_matrix(op)
+        m_lat, m = _reduced_matrix(lat), _reduced_matrix(op)
         assert np.all(np.abs(m_lat - m) <= 1e-12 * m)
-        assert np.all(np.abs(d_lat - d) <= 1e-12 * d)
 
         # one Newton step from a small start, where the Hessian is near the
         # identity plus the kernel, so the step is well conditioned
@@ -245,7 +244,8 @@ class TestMirroredReducedMatrix:
 
     @staticmethod
     def check_mirrored(op):
-        m, d = _reduced_matrix(op)
+        m = _reduced_matrix(op)
+        d = m @ np.ones(op.n_interior)
         assert np.array_equal(m, m[::-1, ::-1]) and np.array_equal(m, m.T)
         full = full_collar_sum(op)
         assert np.all(np.abs(m - full) <= 1e-13 * full)

@@ -295,12 +295,10 @@ class TestSolve:
     @given(spec=small_problems(), seed=st.integers(0, 2**32 - 1),
            bump=st.floats(0.0, 2.0))
     def test_converged_level_clears_the_floor(self, spec, seed, bump):
-        # an absolute tolerance: the auto one grows with the endpoint, which
-        # the doublings can make huge
         e = _negative_endpoint(spec, seed, bump)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-8))
+            rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
         assume(rep.converged)
         # only the constant 1 on a one-node mesh attains the floor; there a
         # residual r leaves the level p r^2/(p-2)^2 of the floor below it, to
@@ -371,6 +369,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="grad_tol"):
             fn.MPAConfig(grad_tol=-1.0)
 
+    def test_rejects_a_missing_tolerance(self):
+        with pytest.raises(ValueError, match="grad_tol"):
+            fn.MPAConfig(grad_tol=None)
+
     def test_sobolev_constant_is_not_read(self, solved_problem):
         # an absurd constant changes nothing: the floor needs no embedding
         spec, e = solved_problem["spec"], solved_problem["endpoint"]
@@ -387,15 +389,14 @@ class TestSolve:
             rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig(grad_tol=1e-9))
         assert len(rep.max_energy_history) == 3
 
-    def test_auto_tolerance_scales_with_endpoint(self, solved_problem):
-        # the solve reads e's gradient from its path's stacked apply, whose
-        # last row matches the single apply of e up to its last bits
+    def test_default_tolerance_is_absolute(self, solved_problem):
+        # the same 1e-8 whatever the scale of the endpoint
         spec = solved_problem["spec"]
         e = solved_problem["endpoint"]
-        rep = fn.mountain_pass_solve(spec, e, fn.MPAConfig())
-        want = 1e-8 * float(np.max(np.abs(fn.energy_gradient(spec, e))))
-        assert rep.grad_tol == pytest.approx(want, rel=1e-12)
-        assert rep.converged
+        reps = [fn.mountain_pass_solve(spec, scale * e, fn.MPAConfig())
+                for scale in (1.0, 4.0)]
+        assert [rep.grad_tol for rep in reps] == [1e-8, 1e-8]
+        assert all(rep.converged for rep in reps)
 
 
 def _full_hessian_newton(spec, u0, grad_tol, max_iter):
@@ -513,7 +514,7 @@ class TestNewtonEndgame:
         assert steps == want_steps == 1
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         ui = u0[:spec.mesh.n_interior]
-        g0 = _interior_map(spec, _reduced_matrix(spec.op)[0], ui)
+        g0 = _interior_map(spec, _reduced_matrix(spec.op), ui)
         assert any(np.array_equal(got, fn.exterior_extension(spec.op, ui - 0.5**k * g0))
                    for k in range(40))
         assert fn.weak_residual(spec, got) < fn.weak_residual(spec, u0)
@@ -619,4 +620,32 @@ class TestAprioriNorm:
 
     def test_single_pair_certificate(self, solved_problem):
         assert fn.apriori_norm_certificate([solved_problem["spec"]],
-                                           [solved_problem["report"]])
+                                           [solved_problem["report"]],
+                                           [solved_problem["tent"]])
+
+    def test_rejects_the_constant_solution(self, solved_problem):
+        # 1 is an exact critical point, of level 1/3 far above the tent's
+        # ray maximum, so its norm exceeds the bound K0 eps^N from g_max
+        spec, tent = solved_problem["spec"], solved_problem["tent"]
+        one = np.ones(spec.mesh.n_total)
+        rep = dataclasses.replace(solved_problem["report"], u=one,
+                                  level=fn.energy(spec, one),
+                                  norm_sq=fn.bilinear_form(spec.op, one, one),
+                                  residual=fn.weak_residual(spec, one))
+        assert rep.residual == 0.0 and rep.level > 2.0 * tent.g_max
+        assert not fn.apriori_norm_certificate([spec], [rep], [tent])
+
+    @pytest.mark.parametrize("g_max", [np.inf, np.nan])
+    def test_rejects_a_tent_without_a_finite_ray_maximum(self, solved_problem,
+                                                         g_max):
+        tents = [solved_problem["tent"],
+                 dataclasses.replace(solved_problem["tent"], g_max=g_max)]
+        for pair in (tents, tents[::-1]):
+            assert not fn.apriori_norm_certificate(
+                [solved_problem["spec"]] * 2, [solved_problem["report"]] * 2,
+                pair)
+
+    def test_needs_one_tent_per_spec(self, solved_problem):
+        with pytest.raises(ValueError, match="one tent"):
+            fn.apriori_norm_certificate([solved_problem["spec"]],
+                                        [solved_problem["report"]], [])
