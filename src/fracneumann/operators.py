@@ -12,7 +12,7 @@ hold by pair-antisymmetry, up to floating-point roundoff only.  The set
 has two exact forms, and :func:`assemble` stores one per mesh: the dense
 blocks ``W_ii`` and ``W_ie`` on small meshes, or one stencil over the
 offsets between the lattice cells the mesh records on large ones.  Every
-reader goes through the one apply or recomputes pair weights.
+reader takes the one apply or the stored form; the regional seminorm builds its own.
 
 Conventions baked in here:
   * ``c_ns = 4**s * s * Gamma(dim/2 + s) / (pi**(dim/2) * Gamma(1 - s))``,
@@ -31,6 +31,9 @@ floating point, not merely to roundoff.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -61,6 +64,33 @@ SOBOLEV_MAX_ITER, SOBOLEV_RTOL = 4000, 1e-11
 EMBEDDING_MAX_ITER, EMBEDDING_RTOL = 2000, 1e-10
 
 
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's thread-count ``(get, set)`` pair, or None; ``dlsym`` on
+    numpy's linalg extension also searches the BLAS that it links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                 "openblas_%s_num_threads"):
+        if hasattr(lib, name % "get"):
+            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count: no
+    helper thread is left spinning, and no sum is split by the count."""
+    get, set_ = _blas_threads() or (lambda: None, lambda n: None)
+    prev = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prev)
+
+
 def normalization_constant(dim: int, s: float) -> float:
     """Principal-value normalisation of the fractional Laplacian of order s."""
     return float(4.0**s * s * math.gamma(dim / 2.0 + s)
@@ -85,8 +115,8 @@ class FormOperator:
             (``W_ei = W_ie^T``; the collar-collar block is zero, not stored);
             None when ``lattice`` holds the weights.
         row_sums: full-mesh row sums, cached for Laplacian-style applications.
-        lattice: :func:`_lattice` of the mesh, the weights as one stencil, or
-            None when the blocks hold them.
+        lattice: :func:`_lattice` of the mesh, the weights as one stencil and
+            its unwrapped table, or None when the blocks hold them.
         reduced: :func:`_reduced_matrix`, once formed; shared by the
             :meth:`with_eps` copies, which keep the weights.
     """
@@ -221,8 +251,10 @@ def _fft_size(n: int) -> int:
 
 
 def _lattice(mesh: DomainMesh, s: float):
-    """``(spectrum, cells)``: the weights of order ``s`` as one stencil on a
-    periodic grid and each node's flat cell index, from ``mesh.cells``.
+    """``(spectrum, cells, table, offsets)``: the weights of order ``s`` as
+    one stencil on a periodic grid and each node's flat cell index, from
+    ``mesh.cells``, then unwrapped (``2 reach + 1`` cells per axis), where
+    ``(i, j)``, ``i`` interior, sits at ``offsets[i] - offsets[j] + table.size // 2``.
     None when the blocks hold fewer than ``CONVOLUTION_MIN_ENTRIES`` entries
     per grid cell (a grid has ``n_total`` cells or more, so smaller
     interiors never qualify).  An axis of ``2 reach + 1`` cells or more,
@@ -236,9 +268,11 @@ def _lattice(mesh: DomainMesh, s: float):
         return None
     dk = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")
     stencil = _pair_weights(mesh.h * np.stack(dk, -1).reshape(-1, mesh.dim),
-                            np.zeros((1, mesh.dim)), s, mesh.cell_volume)
-    return (np.fft.fftn(stencil.reshape(shape)).real,
-            np.ravel_multi_index(tuple(cells.T), shape, mode="wrap"))
+                            np.zeros((1, mesh.dim)), s, mesh.cell_volume).reshape(shape)
+    return (np.fft.fftn(stencil).real,
+            np.ravel_multi_index(tuple(cells.T), shape, mode="wrap"),
+            stencil[np.ix_(*[np.arange(-r, r + 1) for r in reach])].ravel(),
+            np.ravel_multi_index(tuple((cells + reach).T), 2 * reach + 1))
 
 
 def _pair_sums(lattice, ni: int, u: np.ndarray) -> np.ndarray:
@@ -247,7 +281,7 @@ def _pair_sums(lattice, ni: int, u: np.ndarray) -> np.ndarray:
     interior values are the real part of the grid, collar values its
     imaginary part.  Interior rows take the sums of both parts, collar rows
     the real part's only, which leaves out collar-collar pairs."""
-    spectrum, cells = lattice
+    spectrum, cells = lattice[:2]
     rows = u.reshape(-1, u.shape[-1])
     grid = np.zeros((len(rows), spectrum.size), dtype=complex)
     grid.real[:, cells[:ni]], grid.imag[:, cells[ni:]] = rows[:, :ni], rows[:, ni:]
@@ -368,22 +402,35 @@ def _reduced_matrix(op: FormOperator) -> np.ndarray:
     form over collar values (the zero-flux extension; the collar block is
     diagonal).  Its row sums equal ``op.row_sums[:ni]``, which its users read.
 
-    Formed on first use from :func:`_pair_weights`, 256 collar columns of
-    ``W_ie D_e^-1/2`` at a time, and kept, read-only, in ``op.reduced``.
-    Reversing the mesh's node lists reflects it (:class:`DomainMesh`), so
-    the collar's first half gives ``X = W_ii/2 + sum_e w_e w_e^T/d_e`` and
-    ``M = X + X[::-1, ::-1]``, exactly centrosymmetric."""
+    Formed on first use, on one BLAS thread, from the stored weights (block
+    slices or :func:`_lattice` table gathers) and kept, read-only, in
+    ``op.reduced``.  Node-list reversal ``J`` reflects the mesh, so a column
+    ``b`` of ``W_ie D_e^-1/2`` in the collar's first half and its mirror add
+    ``(p p^T + q q^T)/2``, ``p, q = b +- Jb`` even and odd: half-height Gram
+    sums, 128 columns at a time, give ``M``'s top rows, whose reflection is
+    the rest, exactly symmetric and centrosymmetric (:class:`DomainMesh`)."""
     if not op.reduced:
-        mesh, ni, half = op.mesh, op.n_interior, op.mesh.n_exterior // 2
-        xi, vol = mesh.interior_nodes, mesh.cell_volume
-        xe, de = mesh.exterior_nodes[:half], op.row_sums[ni:ni + half]
-        m = _pair_weights(xi, xi, op.s, vol)
-        m *= 0.5
-        for k in range(0, half, 256):
-            b = _pair_weights(xi, xe[k:k + 256], op.s, vol)
-            b /= np.sqrt(de[k:k + 256])
-            m += b @ b.T
-        m += m[::-1, ::-1]
+        ni, half = op.n_interior, op.mesh.n_exterior // 2
+        h, l = ni - ni // 2, ni // 2  # rows of the even and odd blocks
+        rows = np.r_[np.arange(h), ni - 1 - np.arange(h)]  # and their mirrors
+        if op.lattice is None:  # (W_ii + J W_ii J)/2, exactly centrosymmetric
+            w = 0.5 * (op.w_ii[rows[:h]] + op.w_ii[rows[h:], ::-1])
+            pairs = lambda cols: op.w_ie[rows, cols]
+        else:  # the table's W_ii is exactly centrosymmetric
+            table, offsets = op.lattice[2:]
+            mid = offsets[rows] + table.size // 2
+            w = table[mid[:h, None] - offsets[:ni]]
+            pairs = lambda cols: table[mid[:, None] - offsets[ni:][cols]]
+        e, o = np.zeros((h, h)), np.zeros((h, h))  # o's centre row stays 0
+        with _one_blas_thread():
+            for k in range(0, half, 128):
+                cols = slice(k, min(k + 128, half))
+                ab = pairs(cols) * np.sqrt(0.5 / op.row_sums[ni:][cols])
+                p, q = ab[:h] + ab[h:], ab[:l] - ab[h:h + l]
+                e += p @ p.T
+                o[:l, :l] += q @ q.T
+        top = w + np.hstack([e + o, (e - o)[:, :l][:, ::-1]])
+        m = np.vstack([top, top[:l][::-1, ::-1]])
         m.flags.writeable = False
         op.reduced.append(m)
     return op.reduced[0]

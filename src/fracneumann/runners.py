@@ -7,9 +7,6 @@ maps onto the exit code.  Each runs on one BLAS thread (:func:`_one_blas_thread`
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +21,10 @@ from .mountain_pass import (
 )
 from .moser import norm_ladder, verify_caccioppoli_step
 from .operators import (
+    _blas_threads,
     _centered,
     _graph_laplacian_apply,
+    _one_blas_thread,
     assemble,
     check_identities,
     estimate_embedding_constant,
@@ -50,33 +49,6 @@ __all__ = ["run_identity_suite", "run_scaling_sweep", "run_moser_check",
 IDENTITY_TOL = 1e-12
 N_IDENTITY_FUNCTIONS = 100  # random Green pairs; Gauss checks both members
 IDENTITY_STACK = 20  # rows per kernel apply
-
-
-@functools.cache
-def _blas_threads():
-    """OpenBLAS's thread-count ``(get, set)`` pair, or None; ``dlsym`` on
-    numpy's linalg extension also searches the BLAS that it links."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
-                 "openblas_%s_num_threads"):
-        if hasattr(lib, name % "get"):
-            get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, then restore the caller's count: no
-    helper thread is left spinning, and no sum is split by the count."""
-    get, set_ = _blas_threads() or (lambda: None, lambda n: None)
-    prev = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(prev)
 
 
 @_one_blas_thread()
@@ -253,8 +225,8 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
                     out_dir: str | Path) -> bool:
     """Norm ladder plus tested-equation checks for a stored solution.
 
-    :func:`verify_caccioppoli_step` checks six ``(alpha, M)`` pairs, none
-    for a zero solution; the run holds when the sup bound and every
+    :func:`verify_caccioppoli_step` checks six ``(alpha, M)`` pairs in one
+    call, none for a zero solution; the run holds when the sup bound and every
     returned entry's ``residual_ok`` and ``chain_ok`` hold.
 
     The operator is rebuilt at the eps recorded in the solution snapshot
@@ -276,10 +248,10 @@ def run_moser_check(cfg: RunConfig, solution_path: str | Path,
     grad_tol = header.get("grad_tol", cfg.grad_tol)
     embedding = estimate_embedding_constant(op)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
-    cacc = [verify_caccioppoli_step(spec, u, alpha, m_factor * umax,
-                                    grad_tol=grad_tol, sobolev_constant=embedding)
-            for alpha in (2.0, 3.0, 5.0) for m_factor in (1.0, 10.0)
-            if umax > 0.0]
+    steps = [(alpha, m_factor * umax) for alpha in (2.0, 3.0, 5.0)
+             for m_factor in (1.0, 10.0) if umax > 0.0]
+    cacc = verify_caccioppoli_step(spec, u, steps, grad_tol=grad_tol,
+                                   sobolev_constant=embedding)
 
     ladder_rows = [(n + 1, ladder.beta[n], ladder.q_upper[n], ladder.norms_upper[n],
                     ladder.bound_rhs[n]) for n in range(ladder.n_used)]

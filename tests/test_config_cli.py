@@ -467,6 +467,18 @@ class TestMoserRunner:
         assert summary["sup_estimate"] >= summary["actual_max"]
         assert all(entry["chain_ok"] for entry in summary["caccioppoli"])
 
+    def test_three_kernel_applies(self, tmp_path, apply_counter):
+        # the lift and the quotient of the embedding estimate, and one apply
+        # of u for all six Caccioppoli steps
+        cfg = parse_config(QUICK_SWEEP)
+        run_scaling_sweep(cfg, tmp_path / "sweep")
+        del apply_counter[:]
+        assert run_moser_check(cfg, tmp_path / "sweep" / "solution_eps_0.15.txt",
+                               tmp_path / "moser")
+        summary = json.loads((tmp_path / "moser" / "moser_summary.json").read_text())
+        assert len(summary["caccioppoli"]) == 6
+        assert len(apply_counter) == 3
+
     def test_uses_the_recorded_tolerance(self, tmp_path, monkeypatch):
         # solved at 1e-9, checked under a config that says 1e-8
         solved = parse_config(QUICK_SWEEP.replace("solver.grad_tol = 1e-8",
@@ -614,10 +626,10 @@ class TestRunnersOnOneBlasThread:
     def test_without_thread_control_is_a_no_op(self, tmp_path, monkeypatch):
         # a BLAS without OpenBLAS's symbols (MKL, Accelerate): the lookup
         # finds nothing and each runner runs as the caller set it up
-        monkeypatch.setattr(runners.ctypes, "CDLL", lambda path: object())
-        monkeypatch.setattr(runners, "_blas_threads",
-                            functools.cache(runners._blas_threads.__wrapped__))
-        assert runners._blas_threads() is None
+        monkeypatch.setattr(operators.ctypes, "CDLL", lambda path: object())
+        monkeypatch.setattr(operators, "_blas_threads",
+                            functools.cache(operators._blas_threads.__wrapped__))
+        assert operators._blas_threads() is None
         cfg = parse_config(QUICK_SWEEP)
         assert run_identity_suite(cfg, tmp_path / "identities")
         path = self.constant_snapshot(cfg, tmp_path / "const.txt")

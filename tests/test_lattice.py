@@ -179,9 +179,11 @@ class TestRule:
         assert spy.call_count == 0
 
     def test_spectrum_is_small_and_shared(self, op_ref):
-        spectrum, cells = op_ref.lattice
+        spectrum, cells, table, offsets = op_ref.lattice
         assert spectrum.size < op_ref.n_interior * op_ref.n_total
         assert np.unique(cells).size == op_ref.n_total
+        # one weight per cell offset, 2 reach + 1 = 2,399 of them
+        assert table.size == 2399 and np.unique(offsets).size == op_ref.n_total
         # no n_i x n_i or n_i x n_e array on the operator
         arrays = [getattr(op_ref, f.name) for f in dataclasses.fields(op_ref)]
         arrays = [a for a in arrays + list(op_ref.lattice) if isinstance(a, np.ndarray)]
@@ -259,6 +261,51 @@ class TestMirroredReducedMatrix:
 
     def test_reference_mesh(self, op_ref):
         self.check_mirrored(op_ref)
+
+    @pytest.mark.parametrize("form", [lambda op: op, lattice_twin],
+                             ids=["blocks", "stencil"])
+    @pytest.mark.parametrize("bounds, h, r_ext", [
+        (((-1.0, 0.5),), 0.1, 1.6),  # 15 nodes
+        (((0.0, 0.5), (0.0, 0.3)), 0.1, 0.6),  # 5 x 3 nodes
+    ], ids=["interval", "box"])
+    def test_odd_interiors(self, bounds, h, r_ext, form):
+        # the centre row belongs to the even block only
+        op = form(fn.assemble(fn.build_box_mesh(bounds, h, r_ext), 0.3, 1.0))
+        assert op.n_interior % 2 == 1 and (op.lattice is None) == (op.w_ii is not None)
+        self.check_mirrored(op)
+
+    @pytest.mark.parametrize("form", [lambda op: op, lattice_twin],
+                             ids=["blocks", "stencil"])
+    def test_reads_the_stored_weights(self, form):
+        op = form(fn.assemble(fn.build_box_mesh(((0.0, 0.5), (0.0, 0.4)), 0.1, 0.7),
+                              0.4, 1.0))
+        with mock.patch.object(operators, "_pair_weights", wraps=_pair_weights) as spy:
+            m = _reduced_matrix(op)
+        assert spy.call_count == 0
+        assert np.all(np.abs(m - full_collar_sum(op)) <= 1e-13 * m)
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("form", [lambda op: op, lattice_twin],
+                             ids=["blocks", "stencil"])
+    def test_reduced_matrix_bits_do_not_depend_on_the_caller_count(self, mesh_1d,
+                                                                    form):
+        # OpenBLAS splits a product's sums by its thread count: on this mesh
+        # two threads move M's last bits unless M is formed on one
+        threads = operators._blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        get, set_ = threads
+        ops = [form(fn.assemble(mesh_1d, 0.25, 0.2)) for _ in range(2)]
+        before, forms = get(), []
+        try:
+            for op, count in zip(ops, (2, 1)):
+                set_(count)
+                forms.append(_reduced_matrix(op))
+                assert get() == count
+        finally:
+            set_(before)
+        assert np.array_equal(*forms)
 
 
 class TestMemory:

@@ -200,9 +200,9 @@ class TestCaccioppoli:
     def test_constant_solution_exact(self, solved_problem):
         spec = solved_problem["spec"]
         mu = np.ones(spec.mesh.n_total)
-        entry = fn.verify_caccioppoli_step(spec, mu, 3.0, 10.0,
-                                           grad_tol=1e-8,
-                                           sobolev_constant=solved_problem["embedding"])
+        [entry] = fn.verify_caccioppoli_step(spec, mu, [(3.0, 10.0)],
+                                             grad_tol=1e-8,
+                                             sobolev_constant=solved_problem["embedding"])
         assert entry["residual"] == 0.0
         assert entry["residual_ok"] and entry["chain_ok"]
 
@@ -211,21 +211,40 @@ class TestCaccioppoli:
     def test_converged_solution(self, solved_problem, alpha, m_factor):
         spec, rep = solved_problem["spec"], solved_problem["report"]
         big_m = m_factor * float(np.max(rep.u))
-        entry = fn.verify_caccioppoli_step(spec, rep.u, alpha, big_m,
-                                           grad_tol=rep.grad_tol,
-                                           sobolev_constant=solved_problem["embedding"])
+        [entry] = fn.verify_caccioppoli_step(spec, rep.u, [(alpha, big_m)],
+                                             grad_tol=rep.grad_tol,
+                                             sobolev_constant=solved_problem["embedding"])
         assert entry["alpha"] == alpha and entry["M"] == big_m
         assert entry["residual"] <= entry["residual_tol"]
         assert entry["residual_ok"] and entry["chain_ok"]
         assert "chain_lhs" not in entry and "chain_rhs" not in entry
 
+    def test_steps_share_one_apply(self, solved_problem, apply_counter):
+        spec, rep = solved_problem["spec"], solved_problem["report"]
+        umax, vol = float(np.max(rep.u)), spec.mesh.cell_volume
+        steps = [(alpha, m * umax) for alpha in (2.0, 3.0, 5.0) for m in (1.0, 10.0)]
+        kwargs = dict(grad_tol=rep.grad_tol,
+                      sobolev_constant=solved_problem["embedding"])
+        entries = fn.verify_caccioppoli_step(spec, rep.u, steps, **kwargs)
+        assert apply_counter == [(spec.mesh.n_total,)]
+        assert len(entries) == len(steps)
+        ni = spec.mesh.n_interior
+        for (alpha, big_m), entry in zip(steps, entries):
+            assert fn.verify_caccioppoli_step(spec, rep.u, [(alpha, big_m)],
+                                              **kwargs) == [entry]
+            # the form read from the apply of u, against bilinear_form(u, g)
+            g = moser.g_trunc(alpha, big_m, np.maximum(rep.u, 0.0))
+            rhs = vol * float(fn.f_eval(spec.nonlinearity, rep.u[:ni]) @ g[:ni])
+            form = fn.bilinear_form(spec.op, rep.u, g)
+            assert abs(entry["residual"] - abs(form - rhs)) <= 1e-14 * abs(rhs)
+
     def test_chain_violation_is_reported(self, solved_problem):
         spec, rep = solved_problem["spec"], solved_problem["report"]
         # an absurdly small embedding constant inflates the left side; the
         # tested equation does not depend on it
-        entry = fn.verify_caccioppoli_step(spec, rep.u, 3.0, 10.0,
-                                           grad_tol=rep.grad_tol,
-                                           sobolev_constant=1e-6)
+        [entry] = fn.verify_caccioppoli_step(spec, rep.u, [(3.0, 10.0)],
+                                             grad_tol=rep.grad_tol,
+                                             sobolev_constant=1e-6)
         assert entry["chain_ok"] is False
         assert np.isfinite(entry["residual"]) and entry["residual_ok"]
         assert entry["chain_lhs"] > entry["chain_rhs"]

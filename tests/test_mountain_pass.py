@@ -585,10 +585,10 @@ class TestTwoDimensional:
         ladder = fn.norm_ladder(spec, rep.u)
         assert ladder.sup_estimate >= ladder.actual_max
         embedding = fn.estimate_embedding_constant(op)
-        entry = fn.verify_caccioppoli_step(spec, rep.u, 3.0,
-                                           10.0 * float(np.max(rep.u)),
-                                           grad_tol=rep.grad_tol,
-                                           sobolev_constant=embedding)
+        [entry] = fn.verify_caccioppoli_step(spec, rep.u,
+                                             [(3.0, 10.0 * float(np.max(rep.u)))],
+                                             grad_tol=rep.grad_tol,
+                                             sobolev_constant=embedding)
         assert entry["residual"] <= 1e-9
         assert entry["residual_ok"] and entry["chain_ok"]
 
