@@ -343,24 +343,27 @@ def exterior_extension(op: FormOperator, u_int: np.ndarray) -> np.ndarray:
     return np.concatenate([u_int, u_ext], axis=-1)
 
 
-def seminorm_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
+def seminorm_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Kernel part of the form, without the eps factor:
 
-    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``.
+    ``(1/2) sum_{admissible (i,j)} w_ij (u_i - u_j)(v_i - v_j)``; a
+    ``(k, n)`` stack ``u`` gives the ``k`` forms, from one apply of ``v``.
     """
-    u = _check_size(op, u)
+    u = _check_size(op, u, stack=True)
     v = _check_size(op, v, "v")
-    return float(_centered(u) @ _graph_laplacian_apply(op, v))
+    form = _centered(u) @ _graph_laplacian_apply(op, v)
+    return form if u.ndim > 1 else float(form)
 
 
-def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float:
-    """Energy inner product: ``eps**(2s) * seminorm + integral of u v``."""
-    u = _check_size(op, u)
+def bilinear_form(op: FormOperator, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Energy inner product: ``eps**(2s) * seminorm + integral of u v``, for
+    ``u`` one grid function or a stack, as :func:`seminorm_form` takes it."""
+    u = _check_size(op, u, stack=True)
     v = _check_size(op, v, "v")
     ni = op.n_interior
-    vol = op.mesh.cell_volume
-    l2 = vol * float(u[:ni] @ v[:ni])
-    return op.eps ** (2.0 * op.s) * seminorm_form(op, u, v) + l2
+    l2 = op.mesh.cell_volume * (u[..., :ni] @ v[:ni])
+    form = op.eps ** (2.0 * op.s) * seminorm_form(op, u, v) + l2
+    return form if u.ndim > 1 else float(form)
 
 
 def check_identities(op: FormOperator, uv: np.ndarray) -> tuple:
@@ -397,6 +400,7 @@ def check_identities(op: FormOperator, uv: np.ndarray) -> tuple:
              total(np.abs(v) * afl[..., 0, :])))
 
 
+@_one_blas_thread()
 def _reduced_matrix(op: FormOperator) -> np.ndarray:
     """Interior weights ``M = W_ii + W_ie D_e^-1 W_ei`` left by minimizing the
     form over collar values (the zero-flux extension; the collar block is
@@ -422,13 +426,12 @@ def _reduced_matrix(op: FormOperator) -> np.ndarray:
             w = table[mid[:h, None] - offsets[:ni]]
             pairs = lambda cols: table[mid[:, None] - offsets[ni:][cols]]
         e, o = np.zeros((h, h)), np.zeros((h, h))  # o's centre row stays 0
-        with _one_blas_thread():
-            for k in range(0, half, 128):
-                cols = slice(k, min(k + 128, half))
-                ab = pairs(cols) * np.sqrt(0.5 / op.row_sums[ni:][cols])
-                p, q = ab[:h] + ab[h:], ab[:l] - ab[h:h + l]
-                e += p @ p.T
-                o[:l, :l] += q @ q.T
+        for k in range(0, half, 128):
+            cols = slice(k, min(k + 128, half))
+            ab = pairs(cols) * np.sqrt(0.5 / op.row_sums[ni:][cols])
+            p, q = ab[:h] + ab[h:], ab[:l] - ab[h:h + l]
+            e += p @ p.T
+            o[:l, :l] += q @ q.T
         top = w + np.hstack([e + o, (e - o)[:, :l][:, ::-1]])
         m = np.vstack([top, top[:l][::-1, ::-1]])
         m.flags.writeable = False

@@ -21,7 +21,6 @@ from .mountain_pass import (
 )
 from .moser import norm_ladder, verify_caccioppoli_step
 from .operators import (
-    _blas_threads,
     _centered,
     _graph_laplacian_apply,
     _one_blas_thread,

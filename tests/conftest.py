@@ -1,17 +1,11 @@
 """Shared meshes, operators, and one solved problem for the test suite."""
 
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 
 import fracneumann as fn
-from fracneumann import moser, mountain_pass, operators, problem, runners
-
-# CI selects "ci": a failing property prints the blob that reproduces it
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+from fracneumann import mountain_pass, operators, problem, runners
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +73,7 @@ def random_grid_function(mesh, seed):
 def apply_counter(monkeypatch):
     """Records the argument shape of every kernel application made through
     the shared full-mesh apply while the test runs: by the operators, the
-    energy gradient, the path flow, the Caccioppoli steps or the identity
-    suite."""
+    energy gradient, the path flow or the identity suite."""
     calls = []
     apply = operators._graph_laplacian_apply
 
@@ -88,8 +81,8 @@ def apply_counter(monkeypatch):
         calls.append(np.shape(u))
         return apply(op, u)
 
-    # problem, mountain_pass, moser and runners bind the apply by name
-    for module in (operators, problem, mountain_pass, moser, runners):
+    # problem, mountain_pass and runners bind the apply by name
+    for module in (operators, problem, mountain_pass, runners):
         monkeypatch.setattr(module, "_graph_laplacian_apply", counted)
     return calls
 

@@ -230,9 +230,9 @@ class TestCaccioppoli:
         assert len(entries) == len(steps)
         ni = spec.mesh.n_interior
         for (alpha, big_m), entry in zip(steps, entries):
-            assert fn.verify_caccioppoli_step(spec, rep.u, [(alpha, big_m)],
-                                              **kwargs) == [entry]
-            # the form read from the apply of u, against bilinear_form(u, g)
+            assert entry["alpha"] == alpha and entry["M"] == big_m
+            assert entry["residual_ok"] and entry["chain_ok"]
+            # each stacked form, from one apply of u, against bilinear_form(u, g)
             g = moser.g_trunc(alpha, big_m, np.maximum(rep.u, 0.0))
             rhs = vol * float(fn.f_eval(spec.nonlinearity, rep.u[:ni]) @ g[:ni])
             form = fn.bilinear_form(spec.op, rep.u, g)

@@ -393,6 +393,16 @@ class TestBilinearForm:
             l2 = vol * float(u[:ni] @ u[:ni])
             assert fn.bilinear_form(op_1d, u, u) >= l2
 
+    def test_stack_against_one_apply(self, op_1d, mesh_1d, apply_counter):
+        rows = np.stack([random_grid_function(mesh_1d, 20 + k) for k in range(4)])
+        v = random_grid_function(mesh_1d, 30)
+        stacked = fn.bilinear_form(op_1d, rows, v), fn.seminorm_form(op_1d, rows, v)
+        assert apply_counter == [(mesh_1d.n_total,)] * 2
+        for got, form in zip(stacked, (fn.bilinear_form, fn.seminorm_form)):
+            want = [form(op_1d, row, v) for row in rows]
+            assert got.shape == (4,)
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("opname", ["op_1d", "op_2d"])
